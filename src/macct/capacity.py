@@ -22,6 +22,9 @@ from collections.abc import Sequence
 
 from .types import EPS_MEM, ChannelConfig, ConvexPiece, HalfPlane, RatePair
 
+# (gamma(P1), gamma(P2), gamma(P1+P2)): the pentagon's three face levels.
+Gammas = tuple[float, float, float]
+
 
 def gamma(x: float) -> float:
     """Gaussian capacity 0.5*log2(1+x) of a unit-noise link at SNR x.
@@ -33,6 +36,17 @@ def gamma(x: float) -> float:
         raise ValueError(f"gamma is defined for finite x >= 0, got {x!r}")
     # log1p keeps full precision for x near 0, where 1 + x would round to 1.
     return 0.5 * math.log1p(x) / math.log(2.0)
+
+
+def _gammas(cfg: ChannelConfig) -> Gammas:
+    """The channel's `Gammas` triple."""
+    return gamma(cfg.p1), gamma(cfg.p2), gamma(cfg.p1 + cfg.p2)
+
+
+def _corners(g: Gammas) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Corner points A and B, as plain pairs, from the `_gammas` triple."""
+    g1, g2, g12 = g
+    return (g12 - g2, g2), (g1, g12 - g1)
 
 
 def point_to_point_rate(cfg: ChannelConfig, user: int) -> float:
@@ -49,12 +63,8 @@ def corner_points(cfg: ChannelConfig) -> tuple[RatePair, RatePair]:
 
     Both lie on the sum-rate face; A maximizes r2, B maximizes r1.
     """
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
-    a = RatePair(g12 - g2, g2)
-    b = RatePair(g1, g12 - g1)
-    return a, b
+    a, b = _corners(_gammas(cfg))
+    return RatePair(*a), RatePair(*b)
 
 
 def standard_capacity_region(cfg: ChannelConfig) -> ConvexPiece:
@@ -63,9 +73,8 @@ def standard_capacity_region(cfg: ChannelConfig) -> ConvexPiece:
     Vertices run counterclockwise from the origin: O, E (r1 axis), B, A,
     F (r2 axis).
     """
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
+    g = g1, g2, g12 = _gammas(cfg)
+    a, b = _corners(g)
     halfplanes = (
         HalfPlane(1.0, 0.0, 0.0),       # r1 >= 0
         HalfPlane(0.0, 1.0, 0.0),       # r2 >= 0
@@ -76,14 +85,21 @@ def standard_capacity_region(cfg: ChannelConfig) -> ConvexPiece:
     vertices = (
         ("O", (0.0, 0.0)),
         ("E", (g1, 0.0)),
-        ("B", (g1, g12 - g1)),
-        ("A", (g12 - g2, g2)),
+        ("B", b),
+        ("A", a),
         ("F", (0.0, g2)),
     )
     return ConvexPiece(halfplanes, vertices)
 
 
-def region_contains(piece: ConvexPiece, point: Sequence[float], tol: float = EPS_MEM) -> bool:
-    """Membership with absolute slack tolerance: every half-plane slack >= -tol."""
-    x, y = float(point[0]), float(point[1])
-    return all(hp.slack(x, y) >= -tol for hp in piece.halfplanes)
+def region_contains(piece: ConvexPiece, point: Sequence, tol: float = EPS_MEM):
+    """Membership with absolute slack tolerance: every half-plane slack >= -tol.
+
+    The coordinates are floats, giving a bool, or broadcastable ndarrays,
+    giving the elementwise mask.
+    """
+    x, y = point
+    inside = True
+    for hp in piece.halfplanes:
+        inside = inside & (hp.slack(x, y) >= -tol)
+    return inside

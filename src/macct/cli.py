@@ -6,8 +6,9 @@ boundary polyline), `check` (membership verdict for one pair), `minimize`
 oracle) and `schedule` (synthesize the achieving transmission schedule).
 
 Exit codes: 0 success/member, 1 non-member or infeasible pair, 2 invalid
-input, 3 oracle verification failed.  All JSON output carries a
-schema_version field and numbers rounded to 12 significant digits.
+input, 3 oracle verification failed, 4 internal consistency error.  All
+JSON output carries a schema_version field and numbers rounded to 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .schedule import synthesize, validate
 from .types import (
     ChannelConfig,
     CompletionTimePair,
+    ConsistencyError,
     InfeasibleError,
     TrafficLoad,
 )
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_NON_MEMBER = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_INTERNAL = 4
 
 _DEFAULTS: dict[str, Any] = {
     "db": False,
@@ -67,11 +70,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = _resolve_settings(args)
         cfg, load = _scenario(settings)
+        return args.handler(args, settings, cfg, load)
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        return args.handler(args, settings, cfg, load)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_NON_MEMBER
@@ -79,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
         # e.g. an ill-conditioned d1/d2 ratio rejected by the domain types
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    except ConsistencyError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:
@@ -179,18 +184,22 @@ def _scenario(settings: dict[str, Any]) -> tuple[ChannelConfig, TrafficLoad]:
     return cfg, load
 
 
-def _scenario_doc(settings: dict[str, Any], cfg: ChannelConfig, load: TrafficLoad) -> dict:
-    return {
+def _emit(command: str, settings: dict[str, Any], cfg: ChannelConfig, load: TrafficLoad,
+          body: dict) -> None:
+    """Print the command's JSON document: the common header, then `body`."""
+    scenario = {
         "p1": r12(cfg.p1),
         "p2": r12(cfg.p2),
         "tau1": r12(load.tau1),
         "tau2": r12(load.tau2),
         "tol": r12(settings["tol"]),
     }
-
-
-def _emit(doc: dict) -> None:
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, "scenario": scenario, **body}
     print(json.dumps(doc, indent=2))
+
+
+def _pair(d: CompletionTimePair) -> dict[str, float]:
+    return {"d1": r12(d.d1), "d2": r12(d.d2)}
 
 
 def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
@@ -198,8 +207,7 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     value, point = minimax(cfg, load)
     scale = settings["bbox_scale"]
     if not isinstance(scale, (int, float)) or scale <= 1.0:
-        print("error: bbox-scale: must be a number > 1", file=sys.stderr)
-        return EXIT_INVALID
+        raise _CliError("bbox-scale: must be a number > 1")
     box = scale * value
     polyline = boundary_polyline(cfg, load, box, box)
     if args.csv:
@@ -208,10 +216,7 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             print(f"{r12(x):.12g},{r12(y):.12g}")
         return EXIT_OK
     bound = outer_bound(cfg, load)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "region",
-        "scenario": _scenario_doc(settings, cfg, load),
+    _emit("region", settings, cfg, load, {
         "case": desc.case.value,
         "pieces": [
             {
@@ -231,11 +236,10 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             "d1_min": r12(bound.halfplanes[0].c),
             "d2_min": r12(bound.halfplanes[1].c),
         },
-        "minimax": {"value": r12(value), "d1": r12(point.d1), "d2": r12(point.d2)},
+        "minimax": {"value": r12(value), **_pair(point)},
         "bounding_box": {"d1_max": r12(box), "d2_max": r12(box)},
         "boundary_polyline": [[r12(x), r12(y)] for x, y in polyline],
-    }
-    _emit(doc)
+    })
     return EXIT_OK
 
 
@@ -247,21 +251,14 @@ def _parse_pair(args) -> CompletionTimePair:
 
 
 def _cmd_check(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
-    try:
-        d = _parse_pair(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    d = _parse_pair(args)
     tol = settings["tol"]
     query = ct_query(load, d)
     member = constrained_contains(cfg, query, tol)
     slacks = ct_slacks(cfg, load, d)
     binding = min(slacks, key=slacks.get)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "scenario": _scenario_doc(settings, cfg, load),
-        "point": {"d1": r12(d.d1), "d2": r12(d.d2)},
+    _emit("check", settings, cfg, load, {
+        "point": _pair(d),
         "member": member,
         "constrained_rates": {
             "r1": r12(query.rates.r1),
@@ -270,8 +267,7 @@ def _cmd_check(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
         },
         "slacks": {name: r12(s) for name, s in slacks.items()},
         "binding": binding,
-    }
-    _emit(doc)
+    })
     return EXIT_OK if member else EXIT_NON_MEMBER
 
 
@@ -279,10 +275,10 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     case = classify_case(cfg, load)
     if args.minimax:
         value, point = minimax(cfg, load)
-        doc_core = {
+        doc = {
             "mode": "minimax",
             "value": r12(value),
-            "point": {"d1": r12(point.d1), "d2": r12(point.d2)},
+            "point": _pair(point),
             "cell": f"Case {case.value}, Cbar",
             "tie": False,
         }
@@ -290,32 +286,21 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
         try:
             solution = minimize_weighted_sum(cfg, load, args.weight)
         except ValueError as err:
-            print(f"error: weight: {err}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _CliError(f"weight: {err}") from err
         value = solution.optimal_value
-        doc_core = {
+        doc = {
             "mode": "weighted_sum",
             "weight": r12(args.weight),
             "value": r12(value),
-            "point": {
-                "d1": r12(solution.optimizer_point.d1),
-                "d2": r12(solution.optimizer_point.d2),
-            },
+            "point": _pair(solution.optimizer_point),
             "cell": f"Case {case.value}, D{solution.branch}({solution.rate_point_label})",
             "tie": solution.tie,
         }
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "minimize",
-        "scenario": _scenario_doc(settings, cfg, load),
-        **doc_core,
-    }
     exit_code = EXIT_OK
     if args.verify:
         resolution = settings["grid"]
         if not isinstance(resolution, int) or resolution < 16:
-            print("error: grid: must be an integer >= 16", file=sys.stderr)
-            return EXIT_INVALID
+            raise _CliError("grid: must be an integer >= 16")
         spec = default_grid(cfg, load, resolution)
         report = (
             oracle_minimax(cfg, load, spec)
@@ -336,32 +321,22 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
                 "d2": [r12(spec.d2_bounds[0]), r12(spec.d2_bounds[1])],
             },
             "oracle_value": r12(report.optimum_value),
-            "oracle_point": {
-                "d1": r12(report.optimizer.d1),
-                "d2": r12(report.optimizer.d2),
-            },
+            "oracle_point": _pair(report.optimizer),
             "grid_step": r12(report.grid_step),
             "gap_bound": r12(report.certified_gap_bound),
             "bracket_ok": bracket_ok,
         }
         if not bracket_ok:
             exit_code = EXIT_VERIFY_FAILED
-    _emit(doc)
+    _emit("minimize", settings, cfg, load, doc)
     return exit_code
 
 
 def _cmd_schedule(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
-    try:
-        d = _parse_pair(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    d = _parse_pair(args)
     schedule = synthesize(cfg, load, d, settings["tol"])  # raises InfeasibleError
     report = validate(cfg, load, schedule, settings["tol"])
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "schedule",
-        "scenario": _scenario_doc(settings, cfg, load),
         "phases": [
             {
                 "duration": r12(p.duration),
@@ -371,10 +346,10 @@ def _cmd_schedule(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             }
             for p in schedule.phases
         ],
-        "achieved": {"d1": r12(schedule.achieved.d1), "d2": r12(schedule.achieved.d2)},
+        "achieved": _pair(schedule.achieved),
         "validation": "pass" if report.ok else "fail",
     }
     if not report.ok:
         doc["violations"] = list(report.violations)
-    _emit(doc)
+    _emit("schedule", settings, cfg, load, doc)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED

@@ -25,7 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .capacity import gamma
+import numpy as np
+
+from .capacity import Gammas, _gammas, gamma
 from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair
 
 # Constraint names used in slack reports and infeasibility errors.
@@ -69,20 +71,24 @@ class RateDecomposition:
 
 def constrained_slacks(cfg: ChannelConfig, q: ConstrainedRateQuery) -> dict[str, float]:
     """Signed slacks of the three region inequalities (nonnegative = satisfied)."""
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
-    r1, r2 = q.rates.r1, q.rates.r2
-    c = q.c
-    if c >= 1.0:
-        sum_slack = (c - 1.0) * g1 + g12 - (c * r1 + r2)
+    single_1, single_2, sum_rate = _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)
+    return {SINGLE_USER_1: single_1, SINGLE_USER_2: single_2, SUM_RATE: sum_rate}
+
+
+def _membership_slacks(g: Gammas, r1, r2, c) -> tuple:
+    """Slacks of the single-user 1, single-user 2 and sum-rate inequalities.
+
+    g is the `_gammas` triple.  The rates and c are floats, or broadcastable
+    ndarrays evaluated elementwise.
+    """
+    g1, g2, g12 = g
+    late_1 = (c - 1.0) * g1 + g12 - (c * r1 + r2)        # c >= 1: user 1 finishes last
+    late_2 = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)  # c < 1: user 2 finishes last
+    if isinstance(c, np.ndarray):
+        sum_slack = np.where(c >= 1.0, late_1, late_2)
     else:
-        sum_slack = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)
-    return {
-        SINGLE_USER_1: g1 - r1,
-        SINGLE_USER_2: g2 - r2,
-        SUM_RATE: sum_slack,
-    }
+        sum_slack = late_1 if c >= 1.0 else late_2
+    return g1 - r1, g2 - r2, sum_slack
 
 
 def constrained_contains(cfg: ChannelConfig, q: ConstrainedRateQuery, tol: float = EPS_MEM) -> bool:

@@ -31,17 +31,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import corner_points, gamma
-from .constrained import ConstrainedRateQuery, constrained_contains, constrained_slacks
+from .capacity import Gammas, _corners, _gammas, gamma, region_contains
+from .constrained import (
+    ConstrainedRateQuery,
+    _membership_slacks,
+    constrained_contains,
+    constrained_slacks,
+)
 from .types import (
     EPS_MEM,
     ChannelConfig,
     CompletionTimePair,
+    ConsistencyError,
     ConvexPiece,
     HalfPlane,
     RatePair,
     TrafficLoad,
 )
+
+
+_BOUNDARY_REL_TOL = 1e-12
 
 
 class Case(enum.Enum):
@@ -69,37 +78,51 @@ class RegionDescription:
 
 def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
     """Locate point C by the load ratio; ties go to Case I / Case III."""
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
-    # Cross-multiplied forms of tau2/tau1 <= (g12-g1)/g1 and >= g2/(g12-g2).
-    if load.tau2 * g1 <= load.tau1 * (g12 - g1):
+    return _classify(_gammas(cfg), load)
+
+
+def _case_boundaries(g: Gammas, load: TrafficLoad) -> tuple[tuple[float, float], ...]:
+    """Both sides of tau2/tau1 <= (g12-g1)/g1 and of >= g2/(g12-g2), cross-multiplied."""
+    g1, g2, g12 = g
+    return (load.tau2 * g1, load.tau1 * (g12 - g1)), (load.tau2 * (g12 - g2), load.tau1 * g2)
+
+
+def _classify(g: Gammas, load: TrafficLoad) -> Case:
+    (lhs1, rhs1), (lhs3, rhs3) = _case_boundaries(g, load)
+    if lhs1 <= rhs1:
         return Case.I
-    if load.tau2 * (g12 - g2) >= load.tau1 * g2:
+    if lhs3 >= rhs3:
         return Case.III
     return Case.II
 
 
-def point_c(cfg: ChannelConfig, load: TrafficLoad) -> RatePair:
-    """Intersection of the demand ray r2/r1 = tau2/tau1 with the pentagon boundary."""
-    return point_c_for_case(cfg, load, classify_case(cfg, load))
+def _adjacent_case(g: Gammas, load: TrafficLoad) -> Case | None:
+    """Case II when the load ratio sits exactly on a classification boundary."""
+    for lhs, rhs in _case_boundaries(g, load):
+        if abs(lhs - rhs) <= _BOUNDARY_REL_TOL * max(lhs, rhs):
+            return Case.II
+    return None
 
 
-def point_c_for_case(cfg: ChannelConfig, load: TrafficLoad, case: Case) -> RatePair:
-    """Point C via one case's exit-face formula.
+def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> RatePair:
+    """Intersection of the demand ray r2/r1 = tau2/tau1 with the pentagon boundary.
 
-    The formulas of adjacent cases coincide on the classification
+    `case` selects the exit-face formula and defaults to the load's own
+    case.  The formulas of adjacent cases coincide on the classification
     boundaries, which case-boundary consistency checks exploit.
     """
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
+    g = _gammas(cfg)
+    return RatePair(*_point_c(g, load, _classify(g, load) if case is None else case))
+
+
+def _point_c(g: Gammas, load: TrafficLoad, case: Case) -> tuple[float, float]:
+    g1, g2, g12 = g
     if case is Case.I:
-        return RatePair(g1, (load.tau2 / load.tau1) * g1)
+        return g1, (load.tau2 / load.tau1) * g1
     if case is Case.III:
-        return RatePair((load.tau1 / load.tau2) * g2, g2)
+        return (load.tau1 / load.tau2) * g2, g2
     scale = g12 / (load.tau1 + load.tau2)
-    return RatePair(load.tau1 * scale, load.tau2 * scale)
+    return load.tau1 * scale, load.tau2 * scale
 
 
 def map_rate_to_ct(
@@ -111,19 +134,25 @@ def map_rate_to_ct(
     d1 = tau1/r1; user 2 sends at r2 alongside and finishes its remaining
     bits alone at full rate gamma(P2).  Branch 2 mirrors the roles.
     """
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
+    return _map_rate_to_ct(_gammas(cfg), load, branch, r.as_tuple())
+
+
+def _map_rate_to_ct(
+    g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float]
+) -> CompletionTimePair:
+    g1, g2, _ = g
+    r1, r2 = r
     if branch == 1:
-        if r.r1 <= 0.0:
+        if r1 <= 0.0:
             raise ValueError("branch 1 needs r1 > 0 (it divides by r1)")
-        d1 = load.tau1 / r.r1
-        d2 = load.tau2 / g2 + (g2 - r.r2) * load.tau1 / (g2 * r.r1)
+        d1 = load.tau1 / r1
+        d2 = load.tau2 / g2 + (g2 - r2) * load.tau1 / (g2 * r1)
         return CompletionTimePair(d1, d2)
     if branch == 2:
-        if r.r2 <= 0.0:
+        if r2 <= 0.0:
             raise ValueError("branch 2 needs r2 > 0 (it divides by r2)")
-        d2 = load.tau2 / r.r2
-        d1 = load.tau1 / g1 + (g1 - r.r1) * load.tau2 / (g1 * r.r2)
+        d2 = load.tau2 / r2
+        d1 = load.tau1 / g1 + (g1 - r1) * load.tau2 / (g1 * r2)
         return CompletionTimePair(d1, d2)
     raise ValueError(f"branch must be 1 or 2, got {branch!r}")
 
@@ -154,20 +183,11 @@ def ct_contains_grid(
     d2: np.ndarray,
     tol: float = EPS_MEM,
 ) -> np.ndarray:
-    """Vectorized `ct_contains` over positive arrays d1, d2 (broadcastable).
-
-    Mirrors the scalar arithmetic exactly so both paths agree everywhere.
-    """
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
-    r1 = load.tau1 / d1
-    r2 = load.tau2 / d2
-    c = d1 / d2
-    slack_hi = (c - 1.0) * g1 + g12 - (c * r1 + r2)
-    slack_lo = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)
-    sum_slack = np.where(c >= 1.0, slack_hi, slack_lo)
-    return (g1 - r1 >= -tol) & (g2 - r2 >= -tol) & (sum_slack >= -tol)
+    """Vectorized `ct_contains` over positive arrays d1, d2 (broadcastable)."""
+    single_1, single_2, sum_rate = _membership_slacks(
+        _gammas(cfg), load.tau1 / d1, load.tau2 / d2, d1 / d2
+    )
+    return (single_1 >= -tol) & (single_2 >= -tol) & (sum_rate >= -tol)
 
 
 def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:
@@ -182,11 +202,13 @@ def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:
 
 def equal_time_vertex(cfg: ChannelConfig, load: TrafficLoad) -> CompletionTimePair:
     """Cbar: image of point C, the boundary point with d1 = d2."""
-    c = point_c(cfg, load)
-    d = map_rate_to_ct(cfg, load, 1, c)
+    g = _gammas(cfg)
+    c = _point_c(g, load, _classify(g, load))
+    d = _map_rate_to_ct(g, load, 1, c)
     # Both map branches coincide on the demand ray; pin exact equality.
-    t = load.tau1 / c.r1
-    assert abs(d.d1 - t) <= 1e-12 * max(1.0, t) and abs(d.d2 - t) <= 1e-9 * max(1.0, t)
+    t = load.tau1 / c[0]
+    if abs(d.d1 - t) > 1e-12 * max(1.0, t) or abs(d.d2 - t) > 1e-9 * max(1.0, t):
+        raise ConsistencyError(f"branch-1 image {d.as_tuple()!r} of point C is not ({t!r}, {t!r})")
     return CompletionTimePair(t, t)
 
 
@@ -198,23 +220,18 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     that constraint is not implied by the rest (D1: Cases II and III, D2:
     Cases I and II).  Union membership agrees with `ct_contains`.
     """
-    case = classify_case(cfg, load)
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
-    lo1 = load.tau1 / g1
-    lo2 = load.tau2 / g2
+    g = _gammas(cfg)
+    case = _classify(g, load)
+    a, b = _corners(g)
+    cbar = equal_time_vertex(cfg, load).as_tuple()
     total = load.tau1 + load.tau2
 
-    floor1 = HalfPlane(1.0, 0.0, lo1)
-    floor2 = HalfPlane(0.0, 1.0, lo2)
+    floor1, floor2 = outer_bound(cfg, load).halfplanes
     order_d1 = HalfPlane(-1.0, 1.0, 0.0)  # d1 <= d2
     order_d2 = HalfPlane(1.0, -1.0, 0.0)  # d1 >= d2
-    sum_d1 = HalfPlane(g12 - g2, g2, total)
-    sum_d2 = HalfPlane(g1, g12 - g1, total)
-
-    a, b = corner_points(cfg)
-    cbar = equal_time_vertex(cfg, load).as_tuple()
+    # The sum constraints' normals are the pentagon corners A and B.
+    sum_d1 = HalfPlane(*a, total)
+    sum_d2 = HalfPlane(*b, total)
 
     if case is Case.I:
         piece_d1 = ConvexPiece((floor1, floor2, order_d1), (("Cbar", cbar),))
@@ -222,15 +239,15 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
             (floor1, floor2, sum_d2, order_d2),
             (
                 ("Cbar", cbar),
-                ("Bbar", map_rate_to_ct(cfg, load, 2, b).as_tuple()),
-                ("Abar", map_rate_to_ct(cfg, load, 2, a).as_tuple()),
+                ("Bbar", _map_rate_to_ct(g, load, 2, b).as_tuple()),
+                ("Abar", _map_rate_to_ct(g, load, 2, a).as_tuple()),
             ),
         )
     elif case is Case.II:
         piece_d1 = ConvexPiece(
             (floor1, floor2, sum_d1, order_d1),
             (
-                ("Bbar'", map_rate_to_ct(cfg, load, 1, b).as_tuple()),
+                ("Bbar'", _map_rate_to_ct(g, load, 1, b).as_tuple()),
                 ("Cbar", cbar),
             ),
         )
@@ -238,15 +255,15 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
             (floor1, floor2, sum_d2, order_d2),
             (
                 ("Cbar", cbar),
-                ("Abar", map_rate_to_ct(cfg, load, 2, a).as_tuple()),
+                ("Abar", _map_rate_to_ct(g, load, 2, a).as_tuple()),
             ),
         )
     else:
         piece_d1 = ConvexPiece(
             (floor1, floor2, sum_d1, order_d1),
             (
-                ("Bbar'", map_rate_to_ct(cfg, load, 1, b).as_tuple()),
-                ("Abar'", map_rate_to_ct(cfg, load, 1, a).as_tuple()),
+                ("Bbar'", _map_rate_to_ct(g, load, 1, b).as_tuple()),
+                ("Abar'", _map_rate_to_ct(g, load, 1, a).as_tuple()),
                 ("Cbar", cbar),
             ),
         )
@@ -258,11 +275,7 @@ def region_description_contains(
     desc: RegionDescription, point: tuple[float, float], tol: float = EPS_MEM
 ) -> bool:
     """Union membership over the two pieces."""
-    x, y = float(point[0]), float(point[1])
-    return any(
-        all(hp.slack(x, y) >= -tol for hp in piece.halfplanes)
-        for _, piece in desc.pieces
-    )
+    return any(region_contains(piece, point, tol) for _, piece in desc.pieces)
 
 
 def boundary_polyline(
@@ -275,8 +288,7 @@ def boundary_polyline(
     floor).  In Case II the path turns inward at Cbar, tracing the notch.
     """
     desc = build_region(cfg, load)
-    lo1 = load.tau1 / gamma(cfg.p1)
-    lo2 = load.tau2 / gamma(cfg.p2)
+    _, (lo1, lo2) = outer_bound(cfg, load).vertices[0]
     corners: dict[str, tuple[float, float]] = {}
     for _, piece in desc.pieces:
         corners.update(dict(piece.vertices))

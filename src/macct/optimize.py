@@ -23,10 +23,19 @@ threshold the left cell's optimizer is returned and the tie is flagged.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .capacity import corner_points, gamma
-from .ctregion import Case, classify_case, equal_time_vertex, map_rate_to_ct, point_c_for_case
+from .capacity import Gammas, _corners, _gammas, gamma
+from .ctregion import (
+    Case,
+    _adjacent_case,
+    _classify,
+    _map_rate_to_ct,
+    _point_c,
+    equal_time_vertex,
+)
 from .types import (
     ChannelConfig,
     CompletionTimePair,
@@ -36,21 +45,21 @@ from .types import (
 )
 
 _TIE_TOL = 1e-12
-_BOUNDARY_REL_TOL = 1e-12
 _BOUNDARY_VALUE_TOL = 1e-9
+_OPTIMAL_VALUE = attrgetter("optimal_value")
 
-# (low-weight label, high-weight label, threshold name) per branch and case.
-_SUBREGION_CELLS: dict[tuple[int, Case], tuple[str, str, str]] = {
-    (1, Case.I): ("C", "C", "w1"),
-    (1, Case.II): ("C", "B", "w1"),
-    (1, Case.III): ("A", "B", "w1"),
-    (2, Case.I): ("A", "B", "w2"),
-    (2, Case.II): ("A", "C", "w2"),
-    (2, Case.III): ("C", "C", "w2"),
+# Table rows: ((branch, label) for w up to the threshold, (branch, label)
+# above it, threshold name).  One row per branch and case for a single
+# convex piece, one per case for the whole region.
+_SUBREGION_ROWS: dict[tuple[int, Case], tuple[tuple[int, str], tuple[int, str], str]] = {
+    (1, Case.I): ((1, "C"), (1, "C"), "w1"),
+    (1, Case.II): ((1, "C"), (1, "B"), "w1"),
+    (1, Case.III): ((1, "A"), (1, "B"), "w1"),
+    (2, Case.I): ((2, "A"), (2, "B"), "w2"),
+    (2, Case.II): ((2, "A"), (2, "C"), "w2"),
+    (2, Case.III): ((2, "C"), (2, "C"), "w2"),
 }
-
-# ((low branch, low label), (high branch, high label), threshold name) per case.
-_FULL_CELLS: dict[Case, tuple[tuple[int, str], tuple[int, str], str]] = {
+_FULL_ROWS: dict[Case, tuple[tuple[int, str], tuple[int, str], str]] = {
     Case.I: ((2, "A"), (2, "B"), "w2"),
     Case.II: ((2, "A"), (1, "B"), "w3"),
     Case.III: ((1, "A"), (1, "B"), "w1"),
@@ -62,9 +71,6 @@ class Thresholds:
     w1: float
     w2: float
     w3: float
-
-    def by_name(self, name: str) -> float:
-        return {"w1": self.w1, "w2": self.w2, "w3": self.w3}[name]
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,9 +85,11 @@ class WeightedSumSolution:
 
 def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
     """The three switching weights; always w1 < w2 by strict subadditivity."""
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
+    return _thresholds(_gammas(cfg), load)
+
+
+def _thresholds(g: Gammas, load: TrafficLoad) -> Thresholds:
+    g1, g2, g12 = g
     return Thresholds(
         w1=(g12 - g2) / g12,
         w2=g1 / g12,
@@ -115,89 +123,76 @@ def minimize_subregion(
     _check_weight(w)
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch!r}")
-    case = classify_case(cfg, load)
-    solution = _solve_subregion(cfg, load, branch, w, case)
-    adjacent = _adjacent_case(cfg, load)
-    if adjacent is not None:
-        other = _solve_subregion(cfg, load, branch, w, adjacent)
-        _require_agreement("sub-region minimum", solution.optimal_value, other.optimal_value)
-    return solution
+    return _cross_checked(
+        "sub-region minimum", cfg, load, _OPTIMAL_VALUE,
+        lambda g, load, case: _solve(g, load, w, case, _SUBREGION_ROWS[branch, case]),
+    )
 
 
 def minimize_weighted_sum(cfg: ChannelConfig, load: TrafficLoad, w: float) -> WeightedSumSolution:
     """Minimize w*d1 + (1-w)*d2 over the whole (possibly non-convex) region."""
     _check_weight(w)
-    case = classify_case(cfg, load)
-    solution = _solve_full(cfg, load, w, case)
-    adjacent = _adjacent_case(cfg, load)
-    if adjacent is not None:
-        other = _solve_full(cfg, load, w, adjacent)
-        _require_agreement("weighted-sum minimum", solution.optimal_value, other.optimal_value)
-    return solution
+    return _cross_checked(
+        "weighted-sum minimum", cfg, load, _OPTIMAL_VALUE,
+        lambda g, load, case: _solve(g, load, w, case, _FULL_ROWS[case]),
+    )
 
 
 def minimax(cfg: ChannelConfig, load: TrafficLoad) -> tuple[float, CompletionTimePair]:
     """Smallest achievable max(d1, d2), attained at the equal-time vertex."""
-    case = classify_case(cfg, load)
-    value = _minimax_value(cfg, load, case)
-    adjacent = _adjacent_case(cfg, load)
-    if adjacent is not None:
-        _require_agreement("minimax value", value, _minimax_value(cfg, load, adjacent))
-    point = equal_time_vertex(cfg, load)
-    return value, point
+    value = _cross_checked("minimax value", cfg, load, float, _minimax_value)
+    return value, equal_time_vertex(cfg, load)
 
 
-def _minimax_value(cfg: ChannelConfig, load: TrafficLoad, case: Case) -> float:
+def _minimax_value(g: Gammas, load: TrafficLoad, case: Case) -> float:
+    g1, g2, g12 = g
     if case is Case.I:
-        return load.tau1 / gamma(cfg.p1)
+        return load.tau1 / g1
     if case is Case.III:
-        return load.tau2 / gamma(cfg.p2)
-    return (load.tau1 + load.tau2) / gamma(cfg.p1 + cfg.p2)
+        return load.tau2 / g2
+    return (load.tau1 + load.tau2) / g12
 
 
-def _rate_point(cfg: ChannelConfig, load: TrafficLoad, label: str, case: Case) -> RatePair:
-    a, b = corner_points(cfg)
-    if label == "A":
-        return a
-    if label == "B":
-        return b
-    return point_c_for_case(cfg, load, case)
+def _cross_checked(
+    what: str, cfg: ChannelConfig, load: TrafficLoad, value: Callable, solve: Callable
+):
+    """solve(gammas, load, case) for the load's case.
+
+    On a classification boundary the adjacent case's formulas hold as well,
+    so its solution must have the same value.
+    """
+    g = _gammas(cfg)
+    solution = solve(g, load, _classify(g, load))
+    adjacent = _adjacent_case(g, load)
+    if adjacent is not None:
+        primary, alternate = value(solution), value(solve(g, load, adjacent))
+        if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * max(1.0, abs(primary)):
+            raise ConsistencyError(
+                f"{what} disagrees across the case boundary: {primary!r} vs {alternate!r}"
+            )
+    return solution
+
+
+def _solve(g: Gammas, load: TrafficLoad, w: float, case: Case, row) -> WeightedSumSolution:
+    """The row's low cell for w up to its threshold, else its high cell."""
+    low, high, threshold = row
+    cell, other = (low, high) if w <= getattr(_thresholds(g, load), threshold) else (high, low)
+    value, point = _evaluate_cell(g, load, w, case, *cell)
+    other_value, other_point = _evaluate_cell(g, load, w, case, *other)
+    tie = _is_tie(value, point, other_value, other_point)
+    return WeightedSumSolution(w, value, point, cell[1], cell[0], tie)
 
 
 def _evaluate_cell(
-    cfg: ChannelConfig, load: TrafficLoad, branch: int, label: str, w: float, case: Case
+    g: Gammas, load: TrafficLoad, w: float, case: Case, branch: int, label: str
 ) -> tuple[float, CompletionTimePair]:
-    r = _rate_point(cfg, load, label, case)
-    d = map_rate_to_ct(cfg, load, branch, r)
+    if label == "C":
+        r = _point_c(g, load, case)
+    else:
+        a, b = _corners(g)
+        r = a if label == "A" else b
+    d = _map_rate_to_ct(g, load, branch, r)
     return w * d.d1 + (1.0 - w) * d.d2, d
-
-
-def _solve_subregion(
-    cfg: ChannelConfig, load: TrafficLoad, branch: int, w: float, case: Case
-) -> WeightedSumSolution:
-    lo_label, hi_label, thr_name = _SUBREGION_CELLS[(branch, case)]
-    threshold = thresholds(cfg, load).by_name(thr_name)
-    label = lo_label if w <= threshold else hi_label
-    other_label = hi_label if label == lo_label else lo_label
-    value, point = _evaluate_cell(cfg, load, branch, label, w, case)
-    other_value, other_point = _evaluate_cell(cfg, load, branch, other_label, w, case)
-    tie = _is_tie(value, point, other_value, other_point)
-    return WeightedSumSolution(w, value, point, label, branch, tie)
-
-
-def _solve_full(
-    cfg: ChannelConfig, load: TrafficLoad, w: float, case: Case
-) -> WeightedSumSolution:
-    (lo_branch, lo_label), (hi_branch, hi_label), thr_name = _FULL_CELLS[case]
-    threshold = thresholds(cfg, load).by_name(thr_name)
-    branch, label = (lo_branch, lo_label) if w <= threshold else (hi_branch, hi_label)
-    other_branch, other_label = (
-        (hi_branch, hi_label) if (branch, label) == (lo_branch, lo_label) else (lo_branch, lo_label)
-    )
-    value, point = _evaluate_cell(cfg, load, branch, label, w, case)
-    other_value, other_point = _evaluate_cell(cfg, load, other_branch, other_label, w, case)
-    tie = _is_tie(value, point, other_value, other_point)
-    return WeightedSumSolution(w, value, point, label, branch, tie)
 
 
 def _is_tie(
@@ -216,24 +211,3 @@ def _is_tie(
 def _check_weight(w: float) -> None:
     if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 <= w <= 1.0):
         raise ValueError(f"weight must lie in [0, 1], got {w!r}")
-
-
-def _adjacent_case(cfg: ChannelConfig, load: TrafficLoad) -> Case | None:
-    """Case II when the load ratio sits exactly on a classification boundary."""
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
-    lhs1, rhs1 = load.tau2 * g1, load.tau1 * (g12 - g1)
-    if abs(lhs1 - rhs1) <= _BOUNDARY_REL_TOL * max(lhs1, rhs1):
-        return Case.II
-    lhs3, rhs3 = load.tau2 * (g12 - g2), load.tau1 * g2
-    if abs(lhs3 - rhs3) <= _BOUNDARY_REL_TOL * max(lhs3, rhs3):
-        return Case.II
-    return None
-
-
-def _require_agreement(what: str, primary: float, alternate: float) -> None:
-    if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * max(1.0, abs(primary)):
-        raise ConsistencyError(
-            f"{what} disagrees across the case boundary: {primary!r} vs {alternate!r}"
-        )

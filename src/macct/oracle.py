@@ -4,25 +4,23 @@ Everything here rests only on the definitional membership test
 (`ct_contains` and its vectorized twin); none of the closed-form region
 descriptions or table solutions are consulted when computing an optimum,
 so a grid sweep is an independent witness.  Reported optima carry an
-explicit certified gap: the objective's slope bound over the box times
-the grid cell diagonal.  The region is upward closed, so rounding the
-true optimizer up to the next grid point stays feasible and costs at most
-that much.
+explicit certified gap: the objective's increase over one grid step on
+each axis.  The region is upward closed, so rounding the true optimizer
+up to the next grid point stays feasible and costs at most that much.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import corner_points, gamma
+from .capacity import _gammas, gamma, region_contains, standard_capacity_region
 from .ctregion import (
-    Case,
     RegionDescription,
     build_region,
-    classify_case,
     ct_contains,
     ct_contains_grid,
     point_c,
@@ -31,7 +29,6 @@ from .types import (
     EPS_MEM,
     ChannelConfig,
     CompletionTimePair,
-    ConvexPiece,
     InfeasibleError,
     RatePair,
     TrafficLoad,
@@ -87,15 +84,15 @@ def minimax_time_by_bisection(
     Used for default grid bounds so the oracle never leans on the
     closed-form solvers.
     """
-    g1 = gamma(cfg.p1)
-    g2 = gamma(cfg.p2)
-    g12 = gamma(cfg.p1 + cfg.p2)
+    g1, g2, g12 = _gammas(cfg)
     lo = max(load.tau1 / g1, load.tau2 / g2)
     hi = max(lo, (load.tau1 + load.tau2) / g12)
     if ct_contains(cfg, load, CompletionTimePair(lo, lo), tol=0.0):
         return lo
-    if not ct_contains(cfg, load, CompletionTimePair(hi, hi), tol=0.0):
-        raise InfeasibleError("upper bisection bracket unexpectedly infeasible")
+    # Rounding can reject an upper end that sits exactly on a floor; the
+    # region is upward closed, so growing it ends in a member.
+    while not ct_contains(cfg, load, CompletionTimePair(hi, hi), tol=0.0):
+        hi += rel_tol * hi
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if ct_contains(cfg, load, CompletionTimePair(mid, mid), tol=0.0):
@@ -119,20 +116,13 @@ def oracle_weighted_min(
     if not (math.isfinite(w) and 0.0 <= w <= 1.0):
         raise ValueError(f"weight must lie in [0, 1], got {w!r}")
     x, y = spec.axes()
-    mask = ct_contains_grid(cfg, load, x[:, None], y[None, :])
-    if not mask.any():
-        raise InfeasibleError(
-            f"no feasible grid point in {spec.d1_bounds} x {spec.d2_bounds}"
-        )
-    objective = np.where(mask, w * x[:, None] + (1.0 - w) * y[None, :], np.inf)
-    flat = int(np.argmin(objective))  # first hit = lexicographically smallest point
-    i, j = divmod(flat, spec.resolution)
-    gap = max(w, 1.0 - w) * spec.cell_diagonal()
+    value, point = _grid_min(cfg, load, x, y, spec, lambda d1, d2: w * d1 + (1.0 - w) * d2)
+    step1, step2 = spec.steps()
     return OracleReport(
-        optimum_value=float(objective[i, j]),
-        optimizer=CompletionTimePair(float(x[i]), float(y[j])),
-        grid_step=max(spec.steps()),
-        certified_gap_bound=gap,
+        optimum_value=value,
+        optimizer=point,
+        grid_step=max(step1, step2),
+        certified_gap_bound=w * step1 + (1.0 - w) * step2,
     )
 
 
@@ -142,17 +132,16 @@ def oracle_minimax(cfg: ChannelConfig, load: TrafficLoad, spec: GridSpec) -> Ora
     A coarse sub-sampled sweep brackets the optimum first; every grid
     point that could still beat it has both coordinates below that value,
     so the fine sweep runs on the corner square around the diagonal only.
+    If the coarse sweep finds no feasible point, the fine one covers the
+    whole grid.
     """
     x, y = spec.axes()
     stride = max(1, spec.resolution // 64)
-    coarse = _minimax_sweep(cfg, load, x[::stride], y[::stride])
-    if coarse is None:
-        value, point = _require_minimax(cfg, load, x, y, spec)
-    else:
-        cutoff = coarse[0] + spec.cell_diagonal()
-        value, point = _require_minimax(
-            cfg, load, x[x <= cutoff], y[y <= cutoff], spec
-        )
+    with contextlib.suppress(InfeasibleError):
+        coarse, _ = _grid_min(cfg, load, x[::stride], y[::stride], spec, np.maximum)
+        cutoff = coarse + spec.cell_diagonal()
+        x, y = x[x <= cutoff], y[y <= cutoff]
+    value, point = _grid_min(cfg, load, x, y, spec, np.maximum)
     return OracleReport(
         optimum_value=value,
         optimizer=point,
@@ -161,29 +150,19 @@ def oracle_minimax(cfg: ChannelConfig, load: TrafficLoad, spec: GridSpec) -> Ora
     )
 
 
-def _minimax_sweep(
-    cfg: ChannelConfig, load: TrafficLoad, x: np.ndarray, y: np.ndarray
-) -> tuple[float, CompletionTimePair] | None:
-    if x.size == 0 or y.size == 0:
-        return None
+def _grid_min(
+    cfg: ChannelConfig, load: TrafficLoad, x: np.ndarray, y: np.ndarray, spec: GridSpec, objective
+) -> tuple[float, CompletionTimePair]:
+    """Smallest objective(d1, d2) over the feasible points of the grid x by y."""
     mask = ct_contains_grid(cfg, load, x[:, None], y[None, :])
     if not mask.any():
-        return None
-    objective = np.where(mask, np.maximum(x[:, None], y[None, :]), np.inf)
-    flat = int(np.argmin(objective))
-    i, j = divmod(flat, y.size)
-    return float(objective[i, j]), CompletionTimePair(float(x[i]), float(y[j]))
-
-
-def _require_minimax(
-    cfg: ChannelConfig, load: TrafficLoad, x: np.ndarray, y: np.ndarray, spec: GridSpec
-) -> tuple[float, CompletionTimePair]:
-    result = _minimax_sweep(cfg, load, x, y)
-    if result is None:
         raise InfeasibleError(
             f"no feasible grid point in {spec.d1_bounds} x {spec.d2_bounds}"
         )
-    return result
+    values = np.where(mask, objective(x[:, None], y[None, :]), np.inf)
+    flat = int(np.argmin(values))  # first hit = lexicographically smallest point
+    i, j = divmod(flat, y.size)
+    return float(values[i, j]), CompletionTimePair(float(x[i]), float(y[j]))
 
 
 def oracle_region_equivalence(
@@ -208,21 +187,13 @@ def oracle_region_equivalence(
     union = np.zeros((x.size, y.size), dtype=bool)
     near_boundary = np.zeros_like(union)
     for _, piece in region.pieces:
-        union |= _piece_mask(piece, d1, d2, tol)
+        union |= region_contains(piece, (d1, d2), tol)
         for hp in piece.halfplanes:
-            dist = np.abs(hp.a * d1 + hp.b * d2 - hp.c) / math.hypot(hp.a, hp.b)
-            near_boundary |= dist <= eps_boundary
+            near_boundary |= np.abs(hp.slack(d1, d2)) / math.hypot(hp.a, hp.b) <= eps_boundary
     ct = ct_contains_grid(cfg, load, d1, d2, tol)
     bad = (union != ct) & ~near_boundary
     ii, jj = np.nonzero(bad)
     return [(float(x[i]), float(y[j])) for i, j in zip(ii, jj)]
-
-
-def _piece_mask(piece: ConvexPiece, d1: np.ndarray, d2: np.ndarray, tol: float) -> np.ndarray:
-    mask = np.ones(np.broadcast_shapes(d1.shape, d2.shape), dtype=bool)
-    for hp in piece.halfplanes:
-        mask &= hp.a * d1 + hp.b * d2 - hp.c >= -tol
-    return mask
 
 
 def dominant_extreme_points(
@@ -231,19 +202,21 @@ def dominant_extreme_points(
     """Undominated extreme points of the pentagon slice on one side of the ray.
 
     These are the only candidates a weighted-time minimizer over that
-    branch ever needs to inspect.
+    branch ever needs to inspect.  They are derived from the geometry
+    alone: the pentagon vertices on the branch's side of the demand ray
+    (branch 1 below it, branch 2 above), plus point C on the ray, less
+    every point another candidate dominates.
     """
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch!r}")
-    case = classify_case(cfg, load)
-    a, b = corner_points(cfg)
-    c = point_c(cfg, load)
-    table: dict[tuple[int, Case], list[tuple[str, RatePair]]] = {
-        (1, Case.I): [("C", c)],
-        (1, Case.II): [("B", b), ("C", c)],
-        (1, Case.III): [("A", a), ("B", b)],
-        (2, Case.I): [("A", a), ("B", b)],
-        (2, Case.II): [("A", a), ("C", c)],
-        (2, Case.III): [("C", c)],
-    }
-    return table[(branch, case)]
+    side = 1.0 if branch == 1 else -1.0
+    candidates = [("C", point_c(cfg, load))] + [
+        (label, RatePair(r1, r2))
+        for label, (r1, r2) in standard_capacity_region(cfg).vertices
+        if side * (r1 * load.tau2 - r2 * load.tau1) >= 0.0
+    ]
+    return sorted(
+        (label, r)
+        for label, r in candidates
+        if not any(o != r and o.r1 >= r.r1 and o.r2 >= r.r2 for _, o in candidates)
+    )

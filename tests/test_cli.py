@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import macct.cli as cli
-from macct import CompletionTimePair, ct_contains
+from macct import CompletionTimePair, ConsistencyError, ct_contains
 from refvals import CBAR_II, CFG33, LOAD_II, VALUE_W02_II
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +105,17 @@ class TestExitCodes:
         rc, out, _ = run(argv, capsys)
         assert rc == 3
         assert json.loads(out)["verification"]["bracket_ok"] is False
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        def inconsistent(cfg, load):
+            raise ConsistencyError("minimax value disagrees across the case boundary")
+
+        monkeypatch.setattr(cli, "minimax", inconsistent)
+        rc, out, err = run(["minimize", *CASE_FLAGS["case_II"], "--minimax"], capsys)
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" not in err
 
     def test_verify_passes_for_true_solution(self, capsys):
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2", "--verify",

@@ -6,6 +6,7 @@ from macct import (
     Case,
     ChannelConfig,
     CompletionTimePair,
+    ConsistencyError,
     RatePair,
     TrafficLoad,
     boundary_polyline,
@@ -23,7 +24,6 @@ from macct import (
     region_contains,
     region_description_contains,
 )
-from macct.ctregion import point_c_for_case
 from refvals import (
     ABAR_I,
     ABAR_II,
@@ -73,8 +73,8 @@ class TestPointC:
     def test_case_formulas_agree_on_boundary(self):
         g1, g12 = gamma(3.0), gamma(6.0)
         load = TrafficLoad(g1, g12 - g1)  # exactly on the I/II boundary
-        via_i = point_c_for_case(CFG33, load, Case.I)
-        via_ii = point_c_for_case(CFG33, load, Case.II)
+        via_i = point_c(CFG33, load, Case.I)
+        via_ii = point_c(CFG33, load, Case.II)
         assert via_i.as_tuple() == pytest.approx(via_ii.as_tuple(), rel=1e-12)
         b = corner_points(CFG33)[1]
         assert via_i.as_tuple() == pytest.approx(b.as_tuple(), rel=1e-12)
@@ -139,6 +139,24 @@ class TestMembership:
                 ct_contains(cfg, load, CompletionTimePair(a, b)) for a, b in zip(d1, d2)
             ]
             assert got.tolist() == expected
+
+    def test_grid_slacks_equal_scalar_slacks_on_both_sides_of_equal_times(self):
+        from macct.capacity import _gammas
+        from macct.constrained import _membership_slacks
+
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            cfg, load = random_instance(rng)
+            d1 = rng.uniform(0.05, 6.0, size=300)
+            d2 = np.concatenate([rng.uniform(0.05, 6.0, size=200), d1[200:]])  # d1 == d2
+            grid = _membership_slacks(_gammas(cfg), load.tau1 / d1, load.tau2 / d2, d1 / d2)
+            assert ct_contains_grid(cfg, load, d1, d2).tolist() == [
+                ct_contains(cfg, load, CompletionTimePair(a, b)) for a, b in zip(d1, d2)
+            ]
+            for k, (a, b) in enumerate(zip(d1, d2)):
+                scalar = ct_slacks(cfg, load, CompletionTimePair(a, b))
+                assert all(type(s) is float for s in scalar.values())
+                assert list(scalar.values()) == [float(s[k]) for s in grid]
 
     def test_scaling_law(self):
         rng = np.random.default_rng(10)
@@ -297,6 +315,17 @@ def test_equal_time_vertex_matches_minimax_shape():
         v = equal_time_vertex(cfg, load)
         assert v.d1 == v.d2
         assert ct_contains(cfg, load, v)
+
+
+def test_equal_time_vertex_cross_check_raises(monkeypatch):
+    # A typed error, not an assert, so it also holds under `python -O`.
+    import macct.ctregion as ctregion
+
+    monkeypatch.setattr(
+        ctregion, "_map_rate_to_ct", lambda g, load, branch, r: CompletionTimePair(1.0, 2.0)
+    )
+    with pytest.raises(ConsistencyError, match="point C"):
+        equal_time_vertex(CFG33, LOAD_II)
 
 
 def _near_any_boundary(desc, x, y, eps):

@@ -3,6 +3,7 @@ import pytest
 
 from macct import (
     ChannelConfig,
+    CompletionTimePair,
     ConvexPiece,
     GridSpec,
     HalfPlane,
@@ -10,11 +11,14 @@ from macct import (
     TrafficLoad,
     build_region,
     corner_points,
+    ct_contains,
     default_grid,
     dominant_extreme_points,
     gamma,
     map_rate_to_ct,
+    minimax,
     minimax_time_by_bisection,
+    minimize_weighted_sum,
     objective_d,
     oracle_minimax,
     oracle_region_equivalence,
@@ -52,6 +56,39 @@ def test_bisection_matches_reference_minimax():
     assert minimax_time_by_bisection(CFG33, LOAD_III) == pytest.approx(1.0, rel=1e-11)
 
 
+def test_bisection_accepts_upper_end_on_a_floor():
+    # Case I: the upper end (hi, hi) sits exactly on user 1's floor, where
+    # rounding makes the tolerance-0 membership test reject it.
+    cfg = ChannelConfig(0.30597715498153716, 2.2166555817702642)
+    load = TrafficLoad(30.597637599108623, 0.021005121830250433)
+    t = minimax_time_by_bisection(cfg, load)
+    assert ct_contains(cfg, load, CompletionTimePair(t, t), tol=0.0)
+    assert t == pytest.approx(158.89525391144966, rel=1e-11)
+    report = oracle_minimax(cfg, load, default_grid(cfg, load, 201))
+    assert report.optimum_value - report.certified_gap_bound <= 158.89525391144966
+    assert 158.89525391144966 <= report.optimum_value + 1e-9
+
+
+def test_moderate_domain_grids_and_brackets():
+    # 400 log-uniform scenarios, p in [1e-2, 1e4], tau in [1e-2, 1e2] and
+    # w in [0.3, 0.7]: every load gets a grid and both closed forms lie in
+    # their oracle brackets (as `macct minimize --verify` checks them).
+    rng = np.random.default_rng(400)
+    for _ in range(400):
+        p1, p2 = 10.0 ** rng.uniform(-2.0, 4.0, size=2)
+        tau1, tau2 = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        cfg, load = ChannelConfig(p1, p2), TrafficLoad(tau1, tau2)
+        w = float(rng.uniform(0.3, 0.7))
+        spec = default_grid(cfg, load, 201)
+        for value, report in (
+            (minimize_weighted_sum(cfg, load, w).optimal_value,
+             oracle_weighted_min(cfg, load, w, spec)),
+            (minimax(cfg, load)[0], oracle_minimax(cfg, load, spec)),
+        ):
+            low = report.optimum_value - report.certified_gap_bound - 1e-12
+            assert low <= value <= report.optimum_value + 1e-9, (p1, p2, tau1, tau2, w)
+
+
 class TestWeightedOracle:
     def test_brackets_reference_value(self):
         spec = GridSpec(501, (0.9, 4.0), (0.9, 4.0))
@@ -71,6 +108,21 @@ class TestWeightedOracle:
         assert report.optimum_value >= VALUE_W02_II - 1e-9
         assert report.optimum_value - report.certified_gap_bound <= VALUE_W02_II
         assert report.certified_gap_bound > 0.1  # honest, large at 16 points/axis
+
+    def test_gap_covers_rounding_up_both_axes(self):
+        # Near w = 1/2 rounding the optimizer up one cell per axis costs
+        # w*h1 + (1-w)*h2, more than max(w, 1-w) times the cell diagonal.
+        cfg = ChannelConfig(505.3777331133756, 2410.7856476165075)
+        load = TrafficLoad(0.041475009586107024, 7.319468248089246)
+        w = 0.5641026060765484
+        spec = default_grid(cfg, load, 201)
+        report = oracle_weighted_min(cfg, load, w, spec)
+        h1, h2 = spec.steps()
+        assert report.certified_gap_bound == w * h1 + (1.0 - w) * h2
+        closed = minimize_weighted_sum(cfg, load, w)
+        assert ct_contains(cfg, load, closed.optimizer_point)
+        assert report.optimum_value - report.certified_gap_bound <= closed.optimal_value
+        assert closed.optimal_value <= report.optimum_value + 1e-9
 
     def test_monotone_refinement(self):
         spec_lo = default_grid(CFG33, LOAD_II, 201)
