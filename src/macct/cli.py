@@ -168,11 +168,14 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
 
 def _scenario(settings: dict[str, Any]) -> tuple[ChannelConfig, TrafficLoad]:
     p1, p2 = settings["p1"], settings["p2"]
-    if settings["db"]:
-        p1, p2 = 10.0 ** (p1 / 10.0), 10.0 ** (p2 / 10.0)
+    db = settings["db"]
+    if not isinstance(db, bool):
+        raise _CliError(f"db: must be true or false, got {db!r}")
     try:
+        if db:
+            p1, p2 = 10.0 ** (p1 / 10.0), 10.0 ** (p2 / 10.0)
         cfg = ChannelConfig(p1, p2)
-    except (TypeError, ValueError) as err:
+    except (OverflowError, TypeError, ValueError) as err:
         raise _CliError(f"channel powers: {err}") from err
     try:
         load = TrafficLoad(settings["tau1"], settings["tau2"])

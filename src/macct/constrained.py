@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .capacity import Gammas, _gammas, gamma
 from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair
 
@@ -79,15 +77,18 @@ def _membership_slacks(g: Gammas, r1, r2, c) -> tuple:
     """Slacks of the single-user 1, single-user 2 and sum-rate inequalities.
 
     g is the `_gammas` triple.  The rates and c are floats, or broadcastable
-    ndarrays evaluated elementwise.
+    ndarrays evaluated elementwise.  Only the array branch loads numpy, so
+    the scalar callers never pay its import.
     """
     g1, g2, g12 = g
     late_1 = (c - 1.0) * g1 + g12 - (c * r1 + r2)        # c >= 1: user 1 finishes last
     late_2 = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)  # c < 1: user 2 finishes last
-    if isinstance(c, np.ndarray):
-        sum_slack = np.where(c >= 1.0, late_1, late_2)
-    else:
+    if isinstance(c, float):  # np.float64 subclasses float and lands here too
         sum_slack = late_1 if c >= 1.0 else late_2
+    else:
+        import numpy as np
+
+        sum_slack = np.where(c >= 1.0, late_1, late_2)
     return g1 - r1, g2 - r2, sum_slack
 
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma, region_contains
 from .constrained import (

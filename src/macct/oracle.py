@@ -14,8 +14,10 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .capacity import _gammas, gamma, region_contains, standard_capacity_region
 from .ctregion import (
@@ -53,6 +55,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo}, {hi})")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return (
             np.linspace(self.d1_bounds[0], self.d1_bounds[1], self.resolution),
             np.linspace(self.d2_bounds[0], self.d2_bounds[1], self.resolution),
@@ -135,6 +139,8 @@ def oracle_minimax(cfg: ChannelConfig, load: TrafficLoad, spec: GridSpec) -> Ora
     If the coarse sweep finds no feasible point, the fine one covers the
     whole grid.
     """
+    import numpy as np
+
     x, y = spec.axes()
     stride = max(1, spec.resolution // 64)
     with contextlib.suppress(InfeasibleError):
@@ -154,6 +160,8 @@ def _grid_min(
     cfg: ChannelConfig, load: TrafficLoad, x: np.ndarray, y: np.ndarray, spec: GridSpec, objective
 ) -> tuple[float, CompletionTimePair]:
     """Smallest objective(d1, d2) over the feasible points of the grid x by y."""
+    import numpy as np
+
     mask = ct_contains_grid(cfg, load, x[:, None], y[None, :])
     if not mask.any():
         raise InfeasibleError(
@@ -179,6 +187,8 @@ def oracle_region_equivalence(
     exempt.  An empty list certifies the region description on this grid.
     The `region` override lets tests feed a deliberately wrong description.
     """
+    import numpy as np
+
     if region is None:
         region = build_region(cfg, load)
     x, y = spec.axes()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,6 +161,67 @@ class TestScenarioHandling:
         doc = json.loads(out)
         assert doc["scenario"]["p1"] == pytest.approx(3.0, rel=1e-12)
         assert doc["case"] == "II"
+
+    def test_db_power_overflow_exit_2(self, capsys):
+        argv = ["check", "--db", "--p1", "4000", "--p2", "10", "--tau1", "1", "--tau2", "1", "3", "3"]
+        rc, _, err = run(argv, capsys)
+        assert rc == 2 and "channel powers" in err
+
+    def test_db_string_power_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"p1": "20", "p2": 10, "tau1": 1, "tau2": 1, "db": True}))
+        rc, _, err = run(["check", "--scenario", str(scenario), "3", "3"], capsys)
+        assert rc == 2 and "channel powers" in err
+
+    def test_non_boolean_db_rejected(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"p1": 20, "p2": 10, "tau1": 1, "tau2": 1, "db": "no"}))
+        rc, out, err = run(["region", "--scenario", str(scenario)], capsys)
+        assert rc == 2 and out == "" and "db" in err
+
+
+_PROBE = """
+import contextlib, io, json, sys
+import macct, macct.cli
+rc = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = macct.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def probe(argv):
+    """Run `cli.main(argv)` in a fresh interpreter; report its exit code and
+    whether numpy got imported."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestLazyNumpy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["region", *CASE_FLAGS["case_II"]],
+            ["region", *CASE_FLAGS["case_II"], "--csv"],
+            ["check", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"],
+            ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2"],
+            ["minimize", *CASE_FLAGS["case_II"], "--minimax"],
+            ["schedule", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"],
+        ],
+        ids=["import", "region", "region_csv", "check", "weight", "minimax", "schedule"],
+    )
+    def test_scalar_paths_do_not_import_numpy(self, argv):
+        assert probe(argv) == {"rc": None if not argv else 0, "numpy": False}
+
+    def test_verify_imports_numpy(self):
+        argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.3", "--verify", "--grid", "64"]
+        assert probe(argv) == {"rc": 0, "numpy": True}
 
 
 class TestRoundTrip:

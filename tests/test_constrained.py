@@ -55,6 +55,17 @@ class TestMembership:
             with pytest.raises(ValueError):
                 q(0.1, 0.1, c)
 
+    @pytest.mark.parametrize("c", [0.25, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 4.0])
+    def test_numpy_scalar_c_matches_float_c(self, c):
+        from macct.capacity import _gammas
+        from macct.constrained import _membership_slacks
+
+        g = _gammas(CFG33)
+        expected = _membership_slacks(g, 0.4, 0.9, c)
+        assert all(type(s) is float for s in expected)
+        for numpy_c in (np.float64(c), np.array(c)):
+            assert [float(s) for s in _membership_slacks(g, 0.4, 0.9, numpy_c)] == list(expected)
+
 
 class TestClampTransform:
     def test_clamp_active(self):
