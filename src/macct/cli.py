@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -167,6 +168,9 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _scenario(settings: dict[str, Any]) -> tuple[ChannelConfig, TrafficLoad]:
+    for name in (*_REQUIRED, "tol"):
+        if isinstance(settings[name], bool):  # a JSON true/false would pass as 1/0
+            raise _CliError(f"{name}: must be a number, got {settings[name]!r}")
     p1, p2 = settings["p1"], settings["p2"]
     db = settings["db"]
     if not isinstance(db, bool):
@@ -206,11 +210,11 @@ def _pair(d: CompletionTimePair) -> dict[str, float]:
 
 
 def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
+    scale = settings["bbox_scale"]
+    if not isinstance(scale, (int, float)) or not 1.0 < scale < math.inf:
+        raise _CliError(f"bbox-scale: must be a finite number > 1, got {scale!r}")
     desc = build_region(cfg, load)
     value, point = minimax(cfg, load)
-    scale = settings["bbox_scale"]
-    if not isinstance(scale, (int, float)) or scale <= 1.0:
-        raise _CliError("bbox-scale: must be a number > 1")
     box = scale * value
     polyline = boundary_polyline(cfg, load, box, box)
     if args.csv:

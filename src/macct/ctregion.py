@@ -20,6 +20,13 @@ r2/r1 = tau2/tau1 exits the capacity pentagon (point C):
     Case II  -- C on the sum-rate face,
     Case III -- C on the r2 = gamma(P2) face.
 
+One rule covers all three cases: D1 holds the pentagon corners (A, B) that
+lie below the demand ray and D2 those above it (`_PIECE_CORNERS`).  A piece
+carries its sum constraint exactly when it holds a corner; its vertices are
+Cbar and the images of its corners (D1's on branch 1, primed: Bbar', Abar';
+D2's on branch 2: Bbar, Abar).  The boundary polyline and the optimum tables
+in `optimize` are read from the same table.
+
 In Case II the union of the two pieces is not convex: it has a notch at the
 equal-time vertex Cbar.
 """
@@ -59,6 +66,14 @@ class Case(enum.Enum):
     I = "I"
     II = "II"
     III = "III"
+
+
+# The pentagon corners each piece holds, in boundary order: (D1's, D2's).
+_PIECE_CORNERS: dict[Case, tuple[str, str]] = {
+    Case.I: ("", "BA"),
+    Case.II: ("B", "A"),
+    Case.III: ("BA", ""),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,60 +232,34 @@ def equal_time_vertex(cfg: ChannelConfig, load: TrafficLoad) -> CompletionTimePa
 def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     """Half-plane description of both pieces with labeled corner vertices.
 
-    Each piece carries the two solo floors and its ordering constraint; a
-    piece additionally carries its sum constraint only in the cases where
-    that constraint is not implied by the rest (D1: Cases II and III, D2:
-    Cases I and II).  Union membership agrees with `ct_contains`.
+    Each piece carries the two solo floors and its ordering constraint, and
+    its sum constraint exactly when it holds a pentagon corner (see
+    `_PIECE_CORNERS`); otherwise that constraint is implied by the rest.
+    Union membership agrees with `ct_contains`.
     """
     g = _gammas(cfg)
     case = _classify(g, load)
     a, b = _corners(g)
-    cbar = equal_time_vertex(cfg, load).as_tuple()
-    total = load.tau1 + load.tau2
-
+    corners = {"A": a, "B": b}
+    cbar = ("Cbar", equal_time_vertex(cfg, load).as_tuple())
     floor1, floor2 = outer_bound(cfg, load).halfplanes
-    order_d1 = HalfPlane(-1.0, 1.0, 0.0)  # d1 <= d2
-    order_d2 = HalfPlane(1.0, -1.0, 0.0)  # d1 >= d2
-    # The sum constraints' normals are the pentagon corners A and B.
-    sum_d1 = HalfPlane(*a, total)
-    sum_d2 = HalfPlane(*b, total)
-
-    if case is Case.I:
-        piece_d1 = ConvexPiece((floor1, floor2, order_d1), (("Cbar", cbar),))
-        piece_d2 = ConvexPiece(
-            (floor1, floor2, sum_d2, order_d2),
-            (
-                ("Cbar", cbar),
-                ("Bbar", _map_rate_to_ct(g, load, 2, b).as_tuple()),
-                ("Abar", _map_rate_to_ct(g, load, 2, a).as_tuple()),
-            ),
-        )
-    elif case is Case.II:
-        piece_d1 = ConvexPiece(
-            (floor1, floor2, sum_d1, order_d1),
-            (
-                ("Bbar'", _map_rate_to_ct(g, load, 1, b).as_tuple()),
-                ("Cbar", cbar),
-            ),
-        )
-        piece_d2 = ConvexPiece(
-            (floor1, floor2, sum_d2, order_d2),
-            (
-                ("Cbar", cbar),
-                ("Abar", _map_rate_to_ct(g, load, 2, a).as_tuple()),
-            ),
-        )
-    else:
-        piece_d1 = ConvexPiece(
-            (floor1, floor2, sum_d1, order_d1),
-            (
-                ("Bbar'", _map_rate_to_ct(g, load, 1, b).as_tuple()),
-                ("Abar'", _map_rate_to_ct(g, load, 1, a).as_tuple()),
-                ("Cbar", cbar),
-            ),
-        )
-        piece_d2 = ConvexPiece((floor1, floor2, order_d2), (("Cbar", cbar),))
-    return RegionDescription(case, piece_d1, piece_d2)
+    pieces = []
+    # D1 (d1 <= d2) maps its corners on branch 1 and its sum normal is A; D2
+    # (d1 >= d2) maps on branch 2 and its normal is B.  In boundary order Cbar
+    # ends D1 and starts D2.
+    for branch, held, normal, order, suffix in (
+        (1, _PIECE_CORNERS[case][0], a, HalfPlane(-1.0, 1.0, 0.0), "bar'"),
+        (2, _PIECE_CORNERS[case][1], b, HalfPlane(1.0, -1.0, 0.0), "bar"),
+    ):
+        images = [
+            (x + suffix, _map_rate_to_ct(g, load, branch, corners[x]).as_tuple()) for x in held
+        ]
+        sum_rate = (HalfPlane(*normal, load.tau1 + load.tau2),) if held else ()
+        pieces.append(ConvexPiece(
+            (floor1, floor2, *sum_rate, order),
+            (*images, cbar) if branch == 1 else (cbar, *images),
+        ))
+    return RegionDescription(case, *pieces)
 
 
 def region_description_contains(
@@ -291,17 +280,7 @@ def boundary_polyline(
     """
     desc = build_region(cfg, load)
     _, (lo1, lo2) = outer_bound(cfg, load).vertices[0]
-    corners: dict[str, tuple[float, float]] = {}
-    for _, piece in desc.pieces:
-        corners.update(dict(piece.vertices))
-    if d1_max < max(x for x, _ in corners.values()) or d2_max < max(
-        y for _, y in corners.values()
-    ):
+    middle = [xy for _, xy in desc.piece_d1.vertices + desc.piece_d2.vertices[1:]]
+    if d1_max < max(x for x, _ in middle) or d2_max < max(y for _, y in middle):
         raise ValueError("bounding box does not contain every region vertex")
-    if desc.case is Case.I:
-        middle = [corners["Cbar"], corners["Bbar"], corners["Abar"]]
-    elif desc.case is Case.II:
-        middle = [corners["Bbar'"], corners["Cbar"], corners["Abar"]]
-    else:
-        middle = [corners["Bbar'"], corners["Abar'"], corners["Cbar"]]
     return [(lo1, d2_max), *middle, (d1_max, lo2)]

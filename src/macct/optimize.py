@@ -29,6 +29,7 @@ from operator import attrgetter
 
 from .capacity import Gammas, _corners, _gammas, gamma
 from .ctregion import (
+    _PIECE_CORNERS,
     Case,
     _adjacent_case,
     _classify,
@@ -49,21 +50,29 @@ _BOUNDARY_VALUE_TOL = 1e-9
 _OPTIMAL_VALUE = attrgetter("optimal_value")
 
 # Table rows: ((branch, label) for w up to the threshold, (branch, label)
-# above it, threshold name).  One row per branch and case for a single
-# convex piece, one per case for the whole region.
-_SUBREGION_ROWS: dict[tuple[int, Case], tuple[tuple[int, str], tuple[int, str], str]] = {
-    (1, Case.I): ((1, "C"), (1, "C"), "w1"),
-    (1, Case.II): ((1, "C"), (1, "B"), "w1"),
-    (1, Case.III): ((1, "A"), (1, "B"), "w1"),
-    (2, Case.I): ((2, "A"), (2, "B"), "w2"),
-    (2, Case.II): ((2, "A"), (2, "C"), "w2"),
-    (2, Case.III): ((2, "C"), (2, "C"), "w2"),
+# above it, threshold name), read off the corners each piece holds.  A
+# piece's row runs from its A image to its B image, with C standing in for a
+# corner it lacks.  The full-region row runs from A's piece to B's piece and
+# switches at that piece's threshold, or at w3 when the corners are apart.
+_Row = tuple[tuple[int, str], tuple[int, str], str]
+
+
+def _subregion_row(branch: int, held: str) -> _Row:
+    low, high = (x if x in held else "C" for x in "AB")
+    return (branch, low), (branch, high), f"w{branch}"
+
+
+def _full_row(pieces: tuple[str, str]) -> _Row:
+    a, b = (1 if x in pieces[0] else 2 for x in "AB")
+    return (a, "A"), (b, "B"), f"w{a}" if a == b else "w3"
+
+
+_SUBREGION_ROWS: dict[tuple[int, Case], _Row] = {
+    (branch, case): _subregion_row(branch, held)
+    for case, pieces in _PIECE_CORNERS.items()
+    for branch, held in enumerate(pieces, 1)
 }
-_FULL_ROWS: dict[Case, tuple[tuple[int, str], tuple[int, str], str]] = {
-    Case.I: ((2, "A"), (2, "B"), "w2"),
-    Case.II: ((2, "A"), (1, "B"), "w3"),
-    Case.III: ((1, "A"), (1, "B"), "w1"),
-}
+_FULL_ROWS: dict[Case, _Row] = {case: _full_row(p) for case, p in _PIECE_CORNERS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,12 +154,7 @@ def minimax(cfg: ChannelConfig, load: TrafficLoad) -> tuple[float, CompletionTim
 
 
 def _minimax_value(g: Gammas, load: TrafficLoad, case: Case) -> float:
-    g1, g2, g12 = g
-    if case is Case.I:
-        return load.tau1 / g1
-    if case is Case.III:
-        return load.tau2 / g2
-    return (load.tau1 + load.tau2) / g12
+    return load.tau1 / _point_c(g, load, case)[0]
 
 
 def _cross_checked(

@@ -28,7 +28,10 @@ class ConsistencyError(RuntimeError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:  # exact floats, the common case, skip the conversion
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

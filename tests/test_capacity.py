@@ -111,7 +111,7 @@ class TestPentagon:
         assert region_contains(pentagon, (s1 * r1, s2 * r2))
 
     def test_bad_config_rejected(self):
-        for p1, p2 in ((0.0, 1.0), (-2.0, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        for p1, p2 in ((0.0, 1.0), (-2.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (True, 3.0)):
             with pytest.raises(ValueError):
                 ChannelConfig(p1, p2)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -55,6 +56,19 @@ class TestGolden:
         assert lines[0] == "d1,d2"
         assert len(lines) == 6
 
+    def test_regen_reproduces_every_golden_byte_for_byte(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+        regen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regen)
+        monkeypatch.setattr(regen, "HERE", tmp_path)
+        regen.regen()
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(
+            path.name for path in GOLDEN.iterdir() if path.is_file() and path.suffix != ".py"
+        )
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
     def test_golden_region_values_match_frozen_constants(self):
         doc = json.loads((GOLDEN / "region_case_II.json").read_text())
         assert doc["case"] == "II"
@@ -88,6 +102,14 @@ class TestExitCodes:
             assert rc == 2, argv
             assert err.startswith("error:")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_bbox_scale_exit_2(self, scale, fmt, capsys):
+        argv = ["region", *CASE_FLAGS["case_II"], "--bbox-scale", scale, *fmt]
+        rc, out, err = run(argv, capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: bbox-scale")
 
     def test_infeasible_schedule_exit_1_names_constraint(self, capsys):
         rc, _, err = run(["schedule", *CASE_FLAGS["case_II"], "1.3", "1.3"], capsys)
@@ -178,6 +200,19 @@ class TestScenarioHandling:
         scenario.write_text(json.dumps({"p1": 20, "p2": 10, "tau1": 1, "tau2": 1, "db": "no"}))
         rc, out, err = run(["region", "--scenario", str(scenario)], capsys)
         assert rc == 2 and out == "" and "db" in err
+
+    @pytest.mark.parametrize(
+        "field, extra",
+        [("p1", {}), ("p1", {"db": True}), ("tau1", {}), ("tol", {})],
+    )
+    def test_boolean_numbers_rejected(self, field, extra, tmp_path, capsys):
+        values = {"p1": 3, "p2": 3, "tau1": 1, "tau2": 1, **extra}
+        values[field] = field != "tol"  # true, or false for tol (a valid 0)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(values))
+        rc, out, err = run(["check", "--scenario", str(scenario), "3", "3"], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {field}:")
 
 
 _PROBE = """

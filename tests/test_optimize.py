@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -257,6 +258,54 @@ class TestMinimax:
         for _, cfg, load in REFERENCE_INSTANCES:
             value, point = minimax(cfg, load)
             assert value == pytest.approx(max(point.d1, point.d2), rel=1e-14)
+
+    def test_value_equals_both_coordinates_exactly(self):
+        # Moderate domain, log-uniform: p in [1e-2, 1e4], tau in [1e-2, 1e2].
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(2000):
+            p1, p2 = 10.0 ** rng.uniform(-2.0, 4.0, size=2)
+            tau1, tau2 = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            cfg, load = ChannelConfig(float(p1), float(p2)), TrafficLoad(float(tau1), float(tau2))
+            value, point = minimax(cfg, load)
+            seen.add(classify_case(cfg, load))
+            assert value == point.d1 == point.d2, (cfg, load)
+        assert seen == set(Case)
+
+
+# The paper's optimum tables, literally.  Sub-region rows per (case, branch)
+# and full-region rows per case: (cell for w up to the threshold, cell above
+# it, threshold), a cell being (branch, rate point label).
+SUBREGION_TABLE = {
+    ("I", 1): ((1, "C"), (1, "C"), "w1"),
+    ("I", 2): ((2, "A"), (2, "B"), "w2"),
+    ("II", 1): ((1, "C"), (1, "B"), "w1"),
+    ("II", 2): ((2, "A"), (2, "C"), "w2"),
+    ("III", 1): ((1, "A"), (1, "B"), "w1"),
+    ("III", 2): ((2, "C"), (2, "C"), "w2"),
+}
+FULL_TABLE = {
+    "I": ((2, "A"), (2, "B"), "w2"),
+    "II": ((2, "A"), (1, "B"), "w3"),
+    "III": ((1, "A"), (1, "B"), "w1"),
+}
+
+
+@pytest.mark.parametrize("name, cfg, load", REFERENCE_INSTANCES)
+def test_optimum_tables_pinned_literally(name, cfg, load):
+    t = thresholds(cfg, load)
+
+    def check_row(row, solve):
+        low, high, threshold = row
+        w = getattr(t, threshold)
+        for weight, cell in ((0.0, low), (0.5 * w, low), (w, low),
+                             (0.5 * (1.0 + w), high), (1.0, high)):
+            out = solve(weight)
+            assert (out.branch, out.rate_point_label) == cell, (name, row, weight)
+
+    for branch in (1, 2):
+        check_row(SUBREGION_TABLE[name, branch], partial(minimize_subregion, cfg, load, branch))
+    check_row(FULL_TABLE[name], partial(minimize_weighted_sum, cfg, load))
 
 
 def test_case_boundary_instances_self_check():
