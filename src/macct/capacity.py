@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .types import EPS_MEM, ChannelConfig, ConvexPiece, HalfPlane, RatePair
+from .types import EPS_MEM, ChannelConfig, ConvexPiece, HalfPlane, RatePair, _user_index
 
 # (gamma(P1), gamma(P2), gamma(P1+P2)): the pentagon's three face levels.
 Gammas = tuple[float, float, float]
@@ -51,11 +51,7 @@ def _corners(g: Gammas) -> tuple[tuple[float, float], tuple[float, float]]:
 
 def point_to_point_rate(cfg: ChannelConfig, user: int) -> float:
     """Interference-free capacity gamma(P_user) of one user's link."""
-    if user == 1:
-        return gamma(cfg.p1)
-    if user == 2:
-        return gamma(cfg.p2)
-    raise ValueError(f"user index must be 1 or 2, got {user!r}")
+    return gamma((cfg.p1, cfg.p2)[_user_index("user", user) - 1])
 
 
 def corner_points(cfg: ChannelConfig) -> tuple[RatePair, RatePair]:

@@ -56,6 +56,7 @@ from .types import (
     HalfPlane,
     RatePair,
     TrafficLoad,
+    _user_index,
 )
 
 
@@ -157,21 +158,15 @@ def map_rate_to_ct(
 def _map_rate_to_ct(
     g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float]
 ) -> CompletionTimePair:
-    g1, g2, _ = g
-    r1, r2 = r
-    if branch == 1:
-        if r1 <= 0.0:
-            raise ValueError("branch 1 needs r1 > 0 (it divides by r1)")
-        d1 = load.tau1 / r1
-        d2 = load.tau2 / g2 + (g2 - r2) * load.tau1 / (g2 * r1)
-        return CompletionTimePair(d1, d2)
-    if branch == 2:
-        if r2 <= 0.0:
-            raise ValueError("branch 2 needs r2 > 0 (it divides by r2)")
-        d2 = load.tau2 / r2
-        d1 = load.tau1 / g1 + (g1 - r1) * load.tau2 / (g1 * r2)
-        return CompletionTimePair(d1, d2)
-    raise ValueError(f"branch must be 1 or 2, got {branch!r}")
+    early = _user_index("branch", branch) - 1  # the other user then finishes alone
+    late = 1 - early
+    tau = load.tau1, load.tau2
+    if r[early] <= 0.0:
+        raise ValueError(f"branch {branch} needs r{branch} > 0 (it divides by r{branch})")
+    d = [0.0, 0.0]
+    d[early] = tau[early] / r[early]
+    d[late] = tau[late] / g[late] + (g[late] - r[late]) * tau[early] / (g[late] * r[early])
+    return CompletionTimePair(*d)
 
 
 def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:

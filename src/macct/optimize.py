@@ -22,7 +22,6 @@ threshold the left cell's optimizer is returned and the tie is flagged.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
@@ -43,6 +42,8 @@ from .types import (
     ConsistencyError,
     RatePair,
     TrafficLoad,
+    _require_unit_interval,
+    _user_index,
 )
 
 _TIE_TOL = 1e-12
@@ -110,28 +111,23 @@ def objective_d(
     cfg: ChannelConfig, load: TrafficLoad, branch: int, w: float, r: RatePair
 ) -> float:
     """Branch objective at rate point r; equals w*d1 + (1-w)*d2 of the mapped point."""
-    _check_weight(w)
-    if branch == 1:
-        if r.r1 <= 0.0:
-            raise ValueError("branch 1 objective divides by r1; need r1 > 0")
-        g2 = gamma(cfg.p2)
-        wb = 1.0 - w
-        return wb * load.tau2 / g2 + load.tau1 * (g2 - wb * r.r2) / (g2 * r.r1)
-    if branch == 2:
-        if r.r2 <= 0.0:
-            raise ValueError("branch 2 objective divides by r2; need r2 > 0")
-        g1 = gamma(cfg.p1)
-        return w * load.tau1 / g1 + load.tau2 * (g1 - w * r.r1) / (g1 * r.r2)
-    raise ValueError(f"branch must be 1 or 2, got {branch!r}")
+    _require_unit_interval("weight", w)
+    early = _user_index("branch", branch) - 1
+    late = 1 - early
+    rates, tau = r.as_tuple(), (load.tau1, load.tau2)
+    if rates[early] <= 0.0:
+        raise ValueError(f"branch {branch} objective divides by r{branch}; need r{branch} > 0")
+    g = gamma((cfg.p1, cfg.p2)[late])
+    w_late = (1.0 - w, w)[early]
+    return w_late * tau[late] / g + tau[early] * (g - w_late * rates[late]) / (g * rates[early])
 
 
 def minimize_subregion(
     cfg: ChannelConfig, load: TrafficLoad, branch: int, w: float
 ) -> WeightedSumSolution:
     """Minimize w*d1 + (1-w)*d2 over one convex piece of the region."""
-    _check_weight(w)
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch!r}")
+    _require_unit_interval("weight", w)
+    branch = _user_index("branch", branch)
     return _cross_checked(
         "sub-region minimum", cfg, load, _OPTIMAL_VALUE,
         lambda g, load, case: _solve(g, load, w, case, _SUBREGION_ROWS[branch, case]),
@@ -140,7 +136,7 @@ def minimize_subregion(
 
 def minimize_weighted_sum(cfg: ChannelConfig, load: TrafficLoad, w: float) -> WeightedSumSolution:
     """Minimize w*d1 + (1-w)*d2 over the whole (possibly non-convex) region."""
-    _check_weight(w)
+    _require_unit_interval("weight", w)
     return _cross_checked(
         "weighted-sum minimum", cfg, load, _OPTIMAL_VALUE,
         lambda g, load, case: _solve(g, load, w, case, _FULL_ROWS[case]),
@@ -211,7 +207,3 @@ def _is_tie(
     )
     return same_value and distinct
 
-
-def _check_weight(w: float) -> None:
-    if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 <= w <= 1.0):
-        raise ValueError(f"weight must lie in [0, 1], got {w!r}")

@@ -34,9 +34,13 @@ from .types import (
     InfeasibleError,
     RatePair,
     TrafficLoad,
+    _require_unit_interval,
+    _user_index,
 )
 
 _MIN_RESOLUTION = 16
+# Relative width at which the diagonal bisection stops.
+_BISECTION_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +84,7 @@ class OracleReport:
     certified_gap_bound: float
 
 
-def minimax_time_by_bisection(
-    cfg: ChannelConfig, load: TrafficLoad, rel_tol: float = 1e-12
-) -> float:
+def minimax_time_by_bisection(cfg: ChannelConfig, load: TrafficLoad) -> float:
     """Smallest t with (t, t) achievable, found by bisection on `ct_contains`.
 
     Used for default grid bounds so the oracle never leans on the
@@ -96,8 +98,8 @@ def minimax_time_by_bisection(
     # Rounding can reject an upper end that sits exactly on a floor; the
     # region is upward closed, so growing it ends in a member.
     while not ct_contains(cfg, load, CompletionTimePair(hi, hi), tol=0.0):
-        hi += rel_tol * hi
-    while hi - lo > rel_tol * hi:
+        hi += _BISECTION_REL_TOL * hi
+    while hi - lo > _BISECTION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if ct_contains(cfg, load, CompletionTimePair(mid, mid), tol=0.0):
             hi = mid
@@ -117,8 +119,7 @@ def oracle_weighted_min(
     cfg: ChannelConfig, load: TrafficLoad, w: float, spec: GridSpec
 ) -> OracleReport:
     """Exhaustive minimum of w*d1 + (1-w)*d2 over feasible grid points."""
-    if not (math.isfinite(w) and 0.0 <= w <= 1.0):
-        raise ValueError(f"weight must lie in [0, 1], got {w!r}")
+    _require_unit_interval("weight", w)
     x, y = spec.axes()
     value, point = _grid_min(cfg, load, x, y, spec, lambda d1, d2: w * d1 + (1.0 - w) * d2)
     step1, step2 = spec.steps()
@@ -217,9 +218,7 @@ def dominant_extreme_points(
     (branch 1 below it, branch 2 above), plus point C on the ray, less
     every point another candidate dominates.
     """
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch!r}")
-    side = 1.0 if branch == 1 else -1.0
+    side = (1.0, -1.0)[_user_index("branch", branch) - 1]
     candidates = [("C", point_c(cfg, load))] + [
         (label, RatePair(r1, r2))
         for label, (r1, r2) in standard_capacity_region(cfg).vertices

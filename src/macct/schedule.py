@@ -27,6 +27,9 @@ from .types import (
     InfeasibleError,
     RatePair,
     TrafficLoad,
+    _require_finite,
+    _require_unit_interval,
+    _user_index,
 )
 
 # Phases shorter than this are dropped entirely.
@@ -43,14 +46,13 @@ class Phase:
     active_users: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.duration < 0.0:
+        if _require_finite("duration", self.duration) < 0.0:
             raise ValueError(f"phase duration must be >= 0, got {self.duration}")
         if not self.active_users <= {1, 2}:
             raise ValueError("active_users must be a subset of {1, 2}")
-        if 1 not in self.active_users and self.rates.r1 != 0.0:
-            raise ValueError("inactive user 1 must have rate 0")
-        if 2 not in self.active_users and self.rates.r2 != 0.0:
-            raise ValueError("inactive user 2 must have rate 0")
+        for user, rate in enumerate(self.rates.as_tuple(), 1):
+            if user not in self.active_users and rate != 0.0:
+                raise ValueError(f"inactive user {user} must have rate 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +61,8 @@ class Schedule:
     achieved: CompletionTimePair
 
     def bits_delivered(self, user: int) -> float:
-        if user == 1:
-            return sum(p.duration * p.rates.r1 for p in self.phases)
-        if user == 2:
-            return sum(p.duration * p.rates.r2 for p in self.phases)
-        raise ValueError(f"user index must be 1 or 2, got {user!r}")
+        k = _user_index("user", user) - 1
+        return sum(p.duration * p.rates.as_tuple()[k] for p in self.phases)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,27 +84,23 @@ def synthesize(
     """
     query = ct_query(load, d)
     decomposition = decompose_rate(cfg, query, tol)  # rejects infeasible d
-    r1, r2 = query.rates.r1, query.rates.r2
-    if d.d1 == d.d2:
-        phases = (Phase(d.d1, RatePair(r1, r2), frozenset({1, 2})),)
-    elif d.d1 < d.d2:
-        shared = Phase(d.d1, RatePair(r1, decomposition.shared_phase_rate), frozenset({1, 2}))
-        solo = Phase(
-            d.d2 - d.d1,
-            RatePair(0.0, decomposition.solo_phase_rate),
-            frozenset({2}),
-        )
-        phases = (shared, solo)
-    else:
-        shared = Phase(d.d2, RatePair(decomposition.shared_phase_rate, r2), frozenset({1, 2}))
-        solo = Phase(
-            d.d1 - d.d2,
-            RatePair(decomposition.solo_phase_rate, 0.0),
-            frozenset({1}),
-        )
-        phases = (shared, solo)
+    late = decomposition.solo_user - 1  # user 2 at d1 == d2, with an empty solo phase
+    early = 1 - late
+    times = d.as_tuple()
+    shared = list(query.rates.as_tuple())
+    shared[late] = decomposition.shared_phase_rate
+    solo = [0.0, 0.0]
+    solo[late] = decomposition.solo_phase_rate
+    phases = (
+        (times[early], shared, {1, 2}),
+        (times[late] - times[early], solo, {late + 1}),
+    )
     return Schedule(
-        tuple(p for p in phases if p.duration >= _MIN_DURATION),
+        tuple(
+            Phase(t, RatePair(*rates), frozenset(users))
+            for t, rates, users in phases
+            if t >= _MIN_DURATION
+        ),
         achieved=d,
     )
 
@@ -119,8 +114,7 @@ def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:
     sides are rejected: their phase boundaries cannot be aligned, so the
     spliced decoding windows would no longer be valid.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    _require_unit_interval("alpha", alpha)
     da, db = s.achieved, s_prime.achieved
     if (da.d1 - da.d2) * (db.d1 - db.d2) < 0.0:
         raise ValueError(
@@ -162,8 +156,8 @@ def validate(
                 )
         else:
             for user in phase.active_users:
-                rate = phase.rates.r1 if user == 1 else phase.rates.r2
-                cap = gamma(cfg.p1 if user == 1 else cfg.p2)
+                rate = phase.rates.as_tuple()[user - 1]
+                cap = gamma((cfg.p1, cfg.p2)[user - 1])
                 if rate > cap + tol:
                     violations.append(
                         f"phase {k}: solo rate {rate:.6g} exceeds link capacity {cap:.6g}"
@@ -199,8 +193,7 @@ def _activity_violations(s: Schedule) -> list[str]:
         last_transmitting_end = None
         for phase in s.phases:
             end += phase.duration
-            rate = phase.rates.r1 if user == 1 else phase.rates.r2
-            if rate > 0.0:
+            if phase.rates.as_tuple()[user - 1] > 0.0:
                 last_transmitting_end = end
         if last_transmitting_end is None:
             violations.append(f"user {user}: never transmits")

@@ -7,7 +7,9 @@ or sign errors.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 
 # Absolute tolerance on constraint slack used by every membership test.
@@ -35,6 +37,27 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _user_index(name: str, value: int) -> int:
+    """The user index 1 or 2 as an int; numpy ints pass, a bool or a float does not."""
+    if type(value) is not int and not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            value = operator.index(value)
+    if type(value) is not int or value not in (1, 2):
+        raise ValueError(f"{name} must be the int 1 or 2, got {value!r}")
+    return value
+
+
+def _require_unit_interval(name: str, value: float) -> None:
+    """Reject anything but a real number in [0, 1]: NaN, infinities and bools included."""
+    if type(value) is not float:  # exact floats skip the type test and its import
+        import numbers
+
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,8 @@
 """Regenerate the golden CLI outputs for the three reference scenarios.
 
+The Case II scenario also pins `schedule` on both sides of d1 = d2 and on
+the diagonal.
+
 Run from the repository root:  python tests/golden/regen.py
 Review diffs before committing; tests compare parsed JSON exactly.
 """
@@ -20,6 +23,15 @@ SCENARIOS = {
     "case_III": ["--p1", "3", "--p2", "3", "--tau1", "0.2", "--tau2", "1"],
 }
 
+# Completion-time pairs scheduled in Case II, named after (d1, d2).
+SCHEDULE_PAIRS = {
+    "1.596_1": ["1.59632253897", "1"],
+    "1_1.596": ["1", "1.59632253897"],
+    "1.5_1.5": ["1.5", "1.5"],
+    "1.2_3": ["1.2", "3.0"],
+    "3_1.2": ["3.0", "1.2"],
+}
+
 
 def capture(argv: list[str]) -> str:
     buf = io.StringIO()
@@ -37,6 +49,10 @@ def regen() -> None:
         capture(["minimize", *SCENARIOS["case_II"], "--weight", "0.2"])
     )
     (HERE / "region_case_II.csv").write_text(capture(["region", *SCENARIOS["case_II"], "--csv"]))
+    for name, pair in SCHEDULE_PAIRS.items():
+        (HERE / f"schedule_{name}_case_II.json").write_text(
+            capture(["schedule", *SCENARIOS["case_II"], *pair])
+        )
 
 
 if __name__ == "__main__":

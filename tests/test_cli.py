@@ -48,6 +48,27 @@ class TestGolden:
         assert doc["value"] == float(f"{VALUE_W02_II:.12g}")
         assert doc["cell"] == "Case II, D2(A)"
 
+    @pytest.mark.parametrize(
+        "name, pair",
+        [
+            ("1.596_1", ["1.59632253897", "1"]),
+            ("1_1.596", ["1", "1.59632253897"]),
+            ("1.5_1.5", ["1.5", "1.5"]),
+            ("1.2_3", ["1.2", "3.0"]),
+            ("3_1.2", ["3.0", "1.2"]),
+        ],
+    )
+    def test_schedule_documents(self, name, pair, capsys):
+        rc, out, _ = run(["schedule", *CASE_FLAGS["case_II"], *pair], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc == json.loads((GOLDEN / f"schedule_{name}_case_II.json").read_text())
+        # the late finisher, if any, ends with a solo phase of its own
+        d1, d2 = map(float, pair)
+        assert [p["active"] for p in doc["phases"]] == (
+            [[1, 2]] if d1 == d2 else [[1, 2], [2 if d1 < d2 else 1]]
+        )
+
     def test_region_csv(self, capsys):
         rc, out, _ = run(["region", *CASE_FLAGS["case_II"], "--csv"], capsys)
         assert rc == 0

@@ -228,6 +228,15 @@ def test_phase_invariants_enforced_at_construction():
         Phase(1.0, RatePair(0.0, 0.1), frozenset({3}))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_phase_rejects_non_finite_duration(bad):
+    # NaN slips past every ordered comparison, so validate() would pass it
+    shared, solo = synthesize(CFG33, LOAD_II, CompletionTimePair(1.6, 1.0)).phases
+    for phase in (shared, solo):
+        with pytest.raises(ValueError, match="duration"):
+            Phase(bad, phase.rates, phase.active_users)
+
+
 def test_random_instances_round_trip():
     rng = np.random.default_rng(45)
     for _ in range(10):
