@@ -19,16 +19,15 @@ import math
 import sys
 from typing import Any
 
-from .constrained import constrained_contains
+from .constrained import constrained_slacks
 from .ctregion import (
     boundary_polyline,
     build_region,
     classify_case,
     ct_query,
-    ct_slacks,
     outer_bound,
 )
-from .oracle import GridSpec, default_grid, oracle_minimax, oracle_weighted_min
+from .oracle import default_grid, oracle_minimax, oracle_weighted_min
 from .optimize import minimax, minimize_weighted_sum
 from .schedule import synthesize, validate
 from .types import (
@@ -261,9 +260,9 @@ def _cmd_check(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     d = _parse_pair(args)
     tol = settings["tol"]
     query = ct_query(load, d)
-    member = constrained_contains(cfg, query, tol)
-    slacks = ct_slacks(cfg, load, d)
+    slacks = constrained_slacks(cfg, query)
     binding = min(slacks, key=slacks.get)
+    member = slacks[binding] >= -tol
     _emit("check", settings, cfg, load, {
         "point": _pair(d),
         "member": member,
@@ -305,10 +304,7 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
         }
     exit_code = EXIT_OK
     if args.verify:
-        resolution = settings["grid"]
-        if not isinstance(resolution, int) or resolution < 16:
-            raise _CliError("grid: must be an integer >= 16")
-        spec = default_grid(cfg, load, resolution)
+        spec = default_grid(cfg, load, settings["grid"])  # GridSpec rejects a bad resolution
         report = (
             oracle_minimax(cfg, load, spec)
             if args.minimax
@@ -322,7 +318,7 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             <= report.optimum_value + 1e-9
         )
         doc["verification"] = {
-            "resolution": resolution,
+            "resolution": spec.resolution,
             "bounds": {
                 "d1": [r12(spec.d1_bounds[0]), r12(spec.d1_bounds[1])],
                 "d2": [r12(spec.d2_bounds[0]), r12(spec.d2_bounds[1])],

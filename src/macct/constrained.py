@@ -22,11 +22,10 @@ division by small c); the clamp transform is kept for cross-validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .capacity import Gammas, _gammas, gamma
-from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair
+from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -45,8 +44,8 @@ class ConstrainedRateQuery:
     c: float
 
     def __post_init__(self) -> None:
-        c = float(self.c)
-        if not math.isfinite(c) or c <= 0.0:
+        c = _require_finite("c", self.c)
+        if c <= 0.0:
             raise ValueError(f"c must be a positive finite ratio, got {c!r}")
         if not _C_MIN <= c <= _C_MAX:
             raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
@@ -92,6 +91,15 @@ def _membership_slacks(g: Gammas, r1, r2, c) -> tuple:
     return g1 - r1, g2 - r2, sum_slack
 
 
+def _violations(slacks: tuple, tol: float) -> str:
+    """`"<name> violated by <amount>"` for each slack below -tol, comma-separated."""
+    return ", ".join(
+        f"{name} violated by {-s:.3g}"
+        for name, s in zip((SINGLE_USER_1, SINGLE_USER_2, SUM_RATE), slacks)
+        if s < -tol
+    )
+
+
 def constrained_contains(cfg: ChannelConfig, q: ConstrainedRateQuery, tol: float = EPS_MEM) -> bool:
     """Membership in the c-constrained region via the direct inequalities."""
     return all(s >= -tol for s in constrained_slacks(cfg, q).values())
@@ -128,23 +136,20 @@ def decompose_rate(
     Raises InfeasibleError (naming the violated constraint) when the query
     is outside the c-constrained region.
     """
-    slacks = constrained_slacks(cfg, q)
-    violated = [name for name, s in slacks.items() if s < -tol]
+    g = _gammas(cfg)
+    c, r1, r2 = q.c, q.rates.r1, q.rates.r2
+    violated = _violations(_membership_slacks(g, r1, r2, c), tol)
     if violated:
         raise InfeasibleError(
-            f"rate pair ({q.rates.r1:.6g}, {q.rates.r2:.6g}) at c={q.c:.6g} is infeasible: "
-            + ", ".join(f"{name} violated by {-slacks[name]:.3g}" for name in violated)
+            f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}"
         )
-    c = q.c
     if c == 1.0:
         # Both users finish together; the solo phase has zero length.
-        return RateDecomposition(shared_phase_rate=q.rates.r2, solo_phase_rate=0.0, solo_user=2)
+        return RateDecomposition(shared_phase_rate=r2, solo_phase_rate=0.0, solo_user=2)
     if c < 1.0:
-        solo_cap = gamma(cfg.p2)
-        solo = min(solo_cap, q.rates.r2 / (1.0 - c))
-        shared = max(0.0, (q.rates.r2 - (1.0 - c) * solo) / c)
+        solo = min(g[1], r2 / (1.0 - c))
+        shared = max(0.0, (r2 - (1.0 - c) * solo) / c)
         return RateDecomposition(shared_phase_rate=shared, solo_phase_rate=solo, solo_user=2)
-    solo_cap = gamma(cfg.p1)
-    solo = min(solo_cap, q.rates.r1 / (1.0 - 1.0 / c))
-    shared = max(0.0, c * q.rates.r1 - (c - 1.0) * solo)
+    solo = min(g[0], r1 / (1.0 - 1.0 / c))
+    shared = max(0.0, c * r1 - (c - 1.0) * solo)
     return RateDecomposition(shared_phase_rate=shared, solo_phase_rate=solo, solo_user=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,6 +35,7 @@ from .types import (
     InfeasibleError,
     RatePair,
     TrafficLoad,
+    _require_finite,
     _require_unit_interval,
     _user_index,
 )
@@ -52,10 +54,15 @@ class GridSpec:
     d2_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.resolution, int) or self.resolution < _MIN_RESOLUTION:
-            raise ValueError(f"resolution must be an int >= {_MIN_RESOLUTION}")
-        for name, (lo, hi) in (("d1_bounds", self.d1_bounds), ("d2_bounds", self.d2_bounds)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        resolution = -1  # a non-integer stays below the minimum
+        with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
+            resolution = operator.index(self.resolution)
+        if resolution < _MIN_RESOLUTION:
+            raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, "
+                             f"got {self.resolution!r}")
+        for name in ("d1_bounds", "d2_bounds"):
+            lo, hi = (_require_finite(name, v) for v in getattr(self, name))
+            if not 0.0 < lo < hi:
                 raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo}, {hi})")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:

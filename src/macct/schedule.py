@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .capacity import gamma, region_contains, standard_capacity_region
-from .constrained import decompose_rate
+from .capacity import _gammas
+from .constrained import _membership_slacks, _violations, decompose_rate
 from .ctregion import ct_contains, ct_query
 from .types import (
     EPS_MEM,
@@ -143,25 +143,18 @@ def validate(
 ) -> ValidationReport:
     """Check every schedule invariant; violations are reported, not raised."""
     violations: list[str] = []
-    pentagon = standard_capacity_region(cfg)
+    g = _gammas(cfg)
 
     for k, phase in enumerate(s.phases):
         if not phase.active_users:
             violations.append(f"phase {k}: no active users")
-        if phase.active_users == {1, 2}:
-            if not region_contains(pentagon, phase.rates.as_tuple(), tol):
-                violations.append(
-                    f"phase {k}: shared rates ({phase.rates.r1:.6g}, {phase.rates.r2:.6g}) "
-                    "outside the capacity pentagon"
-                )
-        else:
-            for user in phase.active_users:
-                rate = phase.rates.as_tuple()[user - 1]
-                cap = gamma((cfg.p1, cfg.p2)[user - 1])
-                if rate > cap + tol:
-                    violations.append(
-                        f"phase {k}: solo rate {rate:.6g} exceeds link capacity {cap:.6g}"
-                    )
+        # The pentagon is the c = 1 region; a silent user's rate is exactly 0.
+        r1, r2 = phase.rates.r1, phase.rates.r2
+        violated = _violations(_membership_slacks(g, r1, r2, 1.0), tol)
+        if violated:
+            violations.append(
+                f"phase {k}: rates ({r1:.6g}, {r2:.6g}) outside the capacity pentagon: {violated}"
+            )
 
     for user, tau in ((1, load.tau1), (2, load.tau2)):
         delivered = s.bits_delivered(user)
@@ -184,10 +177,7 @@ def _activity_violations(s: Schedule) -> list[str]:
     violations: list[str] = []
     for user, deadline in ((1, s.achieved.d1), (2, s.achieved.d2)):
         active_flags = [user in p.active_users for p in s.phases]
-        if any(
-            later and not earlier
-            for earlier, later in zip(active_flags, active_flags[1:])
-        ):
+        if active_flags != sorted(active_flags, reverse=True):  # a True after a False
             violations.append(f"user {user}: active phases are not an initial run")
         end = 0.0
         last_transmitting_end = None

@@ -2,6 +2,8 @@
 
 `True == 1` and `True == 1.0`, so a bool passes any check written as a
 comparison; every entry point must reject it like any other bad value.
+The same holds for the ratio c of a constrained query and for the
+resolution and bounds of an oracle grid.
 """
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 
 from macct import (
     CompletionTimePair,
+    ConstrainedRateQuery,
+    GridSpec,
     RatePair,
     compose,
     dominant_extreme_points,
@@ -61,3 +65,28 @@ def test_numpy_int_index_accepted(name):
 def test_weight_rejected(name, bad):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         WEIGHT_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_constrained_ratio_rejects_bool(bad):
+    with pytest.raises(ValueError, match="boolean"):
+        ConstrainedRateQuery(R, bad)
+
+
+def test_grid_bounds_reject_bool():
+    with pytest.raises(ValueError, match="boolean"):
+        GridSpec(16, (True, 2.0), (0.5, 2.0))
+    with pytest.raises(ValueError, match="boolean"):
+        GridSpec(16, (0.5, 2.0), (0.5, True))
+
+
+@pytest.mark.parametrize("bad", [True, 8, 32.0, "32"])
+def test_grid_resolution_rejected(bad):
+    with pytest.raises(ValueError, match=f"resolution.*got {bad!r}"):
+        GridSpec(bad, (0.5, 2.0), (0.5, 2.0))
+
+
+def test_numpy_int_grid_resolution_accepted():
+    spec = GridSpec(np.int64(32), (0.5, 2.0), (0.5, 2.0))
+    assert spec.axes()[0].size == 32
+    assert spec.steps() == GridSpec(32, (0.5, 2.0), (0.5, 2.0)).steps()

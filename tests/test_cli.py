@@ -163,6 +163,16 @@ class TestExitCodes:
         assert err.startswith("internal error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, scenario, shown", [
+        (["--grid", "8"], {}, "8"), ([], {"grid": True}, "True"), ([], {"grid": 64.0}, "64.0")])
+    def test_bad_grid_exit_2(self, flag, scenario, shown, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"p1": 3, "p2": 3, "tau1": 1, "tau2": 1, **scenario}))
+        argv = ["minimize", "--scenario", str(path), "--weight", "0.3", "--verify", *flag]
+        rc, out, err = run(argv, capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: grid resolution must be an int >= 16, got {shown}\n"
+
     def test_verify_passes_for_true_solution(self, capsys):
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2", "--verify",
                 "--grid", "301"]

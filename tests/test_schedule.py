@@ -13,6 +13,8 @@ from macct import (
     compose,
     ct_contains,
     gamma,
+    region_contains,
+    standard_capacity_region,
     synthesize,
     validate,
 )
@@ -210,6 +212,48 @@ class TestValidate:
         )
         report = validate(ChannelConfig(3, 3), TrafficLoad(1.3, 0.9), bad)
         assert any("capacity" in v for v in report.violations)
+
+    def test_violation_names_the_constraint(self):
+        bad = Schedule(
+            phases=(
+                Phase(1.0, RatePair(0.8, 0.8), frozenset({1, 2})),
+                Phase(0.5, RatePair(1.0, 0.0), frozenset({1})),
+                Phase(0.25, RatePair(1.2, 0.0), frozenset({1})),
+            ),
+            achieved=CompletionTimePair(1.75, 1.0),
+        )
+        report = validate(CFG33, TrafficLoad(1.6, 0.8), bad)
+        pentagon = [v for v in report.violations if "pentagon" in v]
+        assert pentagon == [
+            "phase 0: rates (0.8, 0.8) outside the capacity pentagon: sum_rate violated by 0.196",
+            "phase 2: rates (1.2, 0) outside the capacity pentagon: single_user_1 violated by 0.2",
+        ]
+
+    def test_phase_check_matches_half_plane_reference(self):
+        # Shared and solo phases of optimizer-like boundary schedules and of
+        # interior ones, nudged across the pentagon faces in both directions.
+        rng = np.random.default_rng(46)
+        seen = set()  # (active users, outside) pairs met
+        for _ in range(8):
+            cfg, load = random_instance(rng)
+            pentagon = standard_capacity_region(cfg)
+            pairs = [CompletionTimePair(x, y)
+                     for _, piece in build_region(cfg, load).pieces
+                     for _, (x, y) in piece.vertices]
+            for d in pairs + sample_members(rng, cfg, load, 10):
+                phases = synthesize(cfg, load, d).phases
+                for f in (1.0, 1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-9, 1.001, 0.999):
+                    scaled = tuple(
+                        Phase(p.duration, RatePair(p.rates.r1 * f, p.rates.r2 * f), p.active_users)
+                        for p in phases
+                    )
+                    report = validate(cfg, load, Schedule(scaled, d))
+                    for k, p in enumerate(scaled):
+                        outside = not region_contains(pentagon, p.rates.as_tuple())
+                        reported = any(v.startswith(f"phase {k}:") for v in report.violations)
+                        assert reported == outside, (cfg, load, d, f, k, report.violations)
+                        seen.add((len(p.active_users), outside))
+        assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
     def test_deadline_mismatch_detected(self):
         d = CompletionTimePair(*ABAR_II)
