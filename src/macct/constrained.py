@@ -31,6 +31,7 @@ from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_f
 SINGLE_USER_1 = "single_user_1"
 SINGLE_USER_2 = "single_user_2"
 SUM_RATE = "sum_rate"
+_NAMES = (SINGLE_USER_1, SINGLE_USER_2, SUM_RATE)  # the order of `_membership_slacks`
 
 _C_MIN = 1e-12
 _C_MAX = 1e12
@@ -44,12 +45,17 @@ class ConstrainedRateQuery:
     c: float
 
     def __post_init__(self) -> None:
-        c = _require_finite("c", self.c)
-        if c <= 0.0:
-            raise ValueError(f"c must be a positive finite ratio, got {c!r}")
-        if not _C_MIN <= c <= _C_MAX:
-            raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _check_ratio(self.c))
+
+
+def _check_ratio(c: float) -> float:
+    """c as a float inside the well-conditioned range [_C_MIN, _C_MAX]."""
+    c = _require_finite("c", c)
+    if c <= 0.0:
+        raise ValueError(f"c must be a positive finite ratio, got {c!r}")
+    if not _C_MIN <= c <= _C_MAX:
+        raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
+    return c
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,8 +74,7 @@ class RateDecomposition:
 
 def constrained_slacks(cfg: ChannelConfig, q: ConstrainedRateQuery) -> dict[str, float]:
     """Signed slacks of the three region inequalities (nonnegative = satisfied)."""
-    single_1, single_2, sum_rate = _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)
-    return {SINGLE_USER_1: single_1, SINGLE_USER_2: single_2, SUM_RATE: sum_rate}
+    return dict(zip(_NAMES, _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)))
 
 
 def _membership_slacks(g: Gammas, r1, r2, c) -> tuple:
@@ -95,14 +100,15 @@ def _violations(slacks: tuple, tol: float) -> str:
     """`"<name> violated by <amount>"` for each slack below -tol, comma-separated."""
     return ", ".join(
         f"{name} violated by {-s:.3g}"
-        for name, s in zip((SINGLE_USER_1, SINGLE_USER_2, SUM_RATE), slacks)
+        for name, s in zip(_NAMES, slacks)
         if s < -tol
     )
 
 
 def constrained_contains(cfg: ChannelConfig, q: ConstrainedRateQuery, tol: float = EPS_MEM) -> bool:
     """Membership in the c-constrained region via the direct inequalities."""
-    return all(s >= -tol for s in constrained_slacks(cfg, q).values())
+    slacks = _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)
+    return all(s >= -tol for s in slacks)
 
 
 def clamp_transform(cfg: ChannelConfig, q: ConstrainedRateQuery) -> RatePair:
@@ -136,20 +142,20 @@ def decompose_rate(
     Raises InfeasibleError (naming the violated constraint) when the query
     is outside the c-constrained region.
     """
-    g = _gammas(cfg)
-    c, r1, r2 = q.c, q.rates.r1, q.rates.r2
+    return RateDecomposition(*_decompose(_gammas(cfg), q.rates.r1, q.rates.r2, q.c, tol))
+
+
+def _decompose(g: Gammas, r1: float, r2: float, c: float, tol: float) -> tuple[float, float, int]:
+    """`decompose_rate` on floats: (shared_phase_rate, solo_phase_rate, solo_user)."""
     violated = _violations(_membership_slacks(g, r1, r2, c), tol)
     if violated:
         raise InfeasibleError(
             f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}"
         )
     if c == 1.0:
-        # Both users finish together; the solo phase has zero length.
-        return RateDecomposition(shared_phase_rate=r2, solo_phase_rate=0.0, solo_user=2)
+        return r2, 0.0, 2  # both users finish together; the solo phase has zero length
     if c < 1.0:
         solo = min(g[1], r2 / (1.0 - c))
-        shared = max(0.0, (r2 - (1.0 - c) * solo) / c)
-        return RateDecomposition(shared_phase_rate=shared, solo_phase_rate=solo, solo_user=2)
+        return max(0.0, (r2 - (1.0 - c) * solo) / c), solo, 2
     solo = min(g[0], r1 / (1.0 - 1.0 / c))
-    shared = max(0.0, c * r1 - (c - 1.0) * solo)
-    return RateDecomposition(shared_phase_rate=shared, solo_phase_rate=solo, solo_user=1)
+    return max(0.0, c * r1 - (c - 1.0) * solo), solo, 1

@@ -41,12 +41,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma, region_contains
-from .constrained import (
-    ConstrainedRateQuery,
-    _membership_slacks,
-    constrained_contains,
-    constrained_slacks,
-)
+from .constrained import _NAMES, ConstrainedRateQuery, _check_ratio, _membership_slacks
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -56,6 +51,7 @@ from .types import (
     HalfPlane,
     RatePair,
     TrafficLoad,
+    _require_finite,
     _user_index,
 )
 
@@ -171,21 +167,32 @@ def _map_rate_to_ct(
 
 def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:
     """The constrained-rate query (tau1/d1, tau2/d2) at ratio c = d1/d2."""
-    return ConstrainedRateQuery(
-        RatePair(load.tau1 / d.d1, load.tau2 / d.d2), d.d1 / d.d2
-    )
+    r1, r2, c = _ct_rates(load, d)
+    return ConstrainedRateQuery(RatePair(r1, r2), c)
+
+
+def _ct_rates(load: TrafficLoad, d: CompletionTimePair) -> tuple[float, float, float]:
+    """`ct_query`'s (r1, r2, c) as floats, with its checks, order and messages."""
+    r1 = _require_finite("r1", load.tau1 / d.d1)
+    r2 = _require_finite("r2", load.tau2 / d.d2)
+    return r1, r2, _check_ratio(d.d1 / d.d2)
 
 
 def ct_contains(
     cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair, tol: float = EPS_MEM
 ) -> bool:
     """Definitional membership test: the induced rate pair must be achievable."""
-    return constrained_contains(cfg, ct_query(load, d), tol)
+    return _ct_member(_gammas(cfg), load, d, tol)
+
+
+def _ct_member(g: Gammas, load: TrafficLoad, d: CompletionTimePair, tol: float) -> bool:
+    """`ct_contains` given the `_gammas` triple; the scalar twin of `ct_contains_grid`."""
+    return all(s >= -tol for s in _membership_slacks(g, *_ct_rates(load, d)))
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:
     """Rate-space slacks of the membership inequalities at d."""
-    return constrained_slacks(cfg, ct_query(load, d))
+    return dict(zip(_NAMES, _membership_slacks(_gammas(cfg), *_ct_rates(load, d))))
 
 
 def ct_contains_grid(

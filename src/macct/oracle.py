@@ -45,6 +45,16 @@ _MIN_RESOLUTION = 16
 _BISECTION_REL_TOL = 1e-12
 
 
+def _check_resolution(resolution: int) -> None:
+    """Reject a grid resolution that is not an int >= _MIN_RESOLUTION."""
+    value = -1  # a non-integer stays below the minimum
+    with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
+        value = operator.index(resolution)
+    if value < _MIN_RESOLUTION:
+        raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, "
+                         f"got {resolution!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class GridSpec:
     """Uniform search grid: `resolution` points per axis over a positive box."""
@@ -54,12 +64,7 @@ class GridSpec:
     d2_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        resolution = -1  # a non-integer stays below the minimum
-        with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
-            resolution = operator.index(self.resolution)
-        if resolution < _MIN_RESOLUTION:
-            raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, "
-                             f"got {self.resolution!r}")
+        _check_resolution(self.resolution)
         for name in ("d1_bounds", "d2_bounds"):
             lo, hi = (_require_finite(name, v) for v in getattr(self, name))
             if not 0.0 < lo < hi:
@@ -117,6 +122,7 @@ def minimax_time_by_bisection(cfg: ChannelConfig, load: TrafficLoad) -> float:
 
 def default_grid(cfg: ChannelConfig, load: TrafficLoad, resolution: int = 2001) -> GridSpec:
     """Box [0.9 * min solo floor, 4 * equal-time optimum] per axis."""
+    _check_resolution(resolution)  # fail before paying for the bisection
     lo = 0.9 * min(load.tau1 / gamma(cfg.p1), load.tau2 / gamma(cfg.p2))
     hi = 4.0 * minimax_time_by_bisection(cfg, load)
     return GridSpec(resolution, (lo, hi), (lo, hi))

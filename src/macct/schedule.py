@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import _gammas
-from .constrained import _membership_slacks, _violations, decompose_rate
-from .ctregion import ct_contains, ct_query
+from .constrained import _decompose, _membership_slacks, _violations
+from .ctregion import _ct_member, _ct_rates
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -82,15 +82,15 @@ def synthesize(
     Raises InfeasibleError, naming the violated constraint, for d outside
     the region.
     """
-    query = ct_query(load, d)
-    decomposition = decompose_rate(cfg, query, tol)  # rejects infeasible d
-    late = decomposition.solo_user - 1  # user 2 at d1 == d2, with an empty solo phase
+    r1, r2, c = _ct_rates(load, d)
+    shared_rate, solo_rate, solo_user = _decompose(_gammas(cfg), r1, r2, c, tol)
+    late = solo_user - 1  # user 2 at d1 == d2, with an empty solo phase
     early = 1 - late
     times = d.as_tuple()
-    shared = list(query.rates.as_tuple())
-    shared[late] = decomposition.shared_phase_rate
+    shared = [r1, r2]
+    shared[late] = shared_rate
     solo = [0.0, 0.0]
-    solo[late] = decomposition.solo_phase_rate
+    solo[late] = solo_rate
     phases = (
         (times[early], shared, {1, 2}),
         (times[late] - times[early], solo, {late + 1}),
@@ -165,7 +165,7 @@ def validate(
 
     violations.extend(_activity_violations(s))
 
-    if not ct_contains(cfg, load, s.achieved, tol):
+    if not _ct_member(g, load, s.achieved, tol):
         violations.append(
             f"achieved pair ({s.achieved.d1:.6g}, {s.achieved.d2:.6g}) is not in the region"
         )

@@ -7,15 +7,19 @@ from macct import (
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
+    Phase,
     RatePair,
     TrafficLoad,
     boundary_polyline,
     build_region,
     classify_case,
+    constrained_contains,
+    constrained_slacks,
     corner_points,
     ct_contains,
     ct_contains_grid,
     ct_slacks,
+    decompose_rate,
     equal_time_vertex,
     gamma,
     map_rate_to_ct,
@@ -23,6 +27,7 @@ from macct import (
     point_c,
     region_contains,
     region_description_contains,
+    synthesize,
 )
 from refvals import (
     ABAR_I,
@@ -157,6 +162,69 @@ class TestMembership:
                 scalar = ct_slacks(cfg, load, CompletionTimePair(a, b))
                 assert all(type(s) is float for s in scalar.values())
                 assert list(scalar.values()) == [float(s[k]) for s in grid]
+
+    def test_float_path_matches_query_objects(self):
+        # `ct_contains`, `ct_slacks` and `synthesize` test (tau1/d1, tau2/d2, d1/d2)
+        # on floats; each must give exactly what the `ConstrainedRateQuery` route
+        # gives, exceptions and their messages included.
+        from macct.ctregion import ct_query
+        from macct.schedule import _MIN_DURATION
+
+        def outcome(fn):
+            try:
+                return repr(fn())
+            except ValueError as exc:
+                return repr((type(exc), str(exc)))
+
+        def phases_from_query(cfg, load, d):
+            query = ct_query(load, d)
+            dec = decompose_rate(cfg, query)
+            late = dec.solo_user - 1
+            times = d.as_tuple()
+            shared = list(query.rates.as_tuple())
+            shared[late] = dec.shared_phase_rate
+            solo = [0.0, 0.0]
+            solo[late] = dec.solo_phase_rate
+            return tuple(
+                Phase(t, RatePair(*rates), frozenset(users))
+                for t, rates, users in (
+                    (times[1 - late], shared, {1, 2}),
+                    (times[late] - times[1 - late], solo, {late + 1}),
+                )
+                if t >= _MIN_DURATION
+            )
+
+        rng = np.random.default_rng(47)
+        seen = set()
+        for p_lo, p_hi, tau_lo, tau_hi in ((1e-2, 1e4, 1e-2, 1e2), (1e-4, 1e6, 1e-4, 1e4)):
+            for _ in range(150):
+                p1, p2 = np.exp(rng.uniform(np.log(p_lo), np.log(p_hi), 2))
+                tau1, tau2 = np.exp(rng.uniform(np.log(tau_lo), np.log(tau_hi), 2))
+                cfg, load = ChannelConfig(float(p1), float(p2)), TrafficLoad(float(tau1), float(tau2))
+                floor1, floor2 = tau1 / gamma(p1), tau2 / gamma(p2)
+                t_sum = (tau1 + tau2) / gamma(p1 + p2)  # (t_sum, t_sum) sits on the sum face
+                pairs = [(floor1 * a, floor2 * b)
+                         for a, b in np.exp(rng.uniform(-0.2, 1.5, (12, 2)))]
+                pairs += [(t_sum * f, t_sum * f) for f in (1 - 1e-9, 1.0, 1 + 1e-9, 1.01)]
+                # c above and below its range, c underflowing to 0, and r1 overflowing
+                pairs += [(1e13, 1.0), (1.0, 1e13), (1e-300, 1.0), (1e-300, 1e300), (5e-324, 1.0)]
+                for d in (CompletionTimePair(float(x), float(y)) for x, y in pairs):
+                    for tol in (EPS_MEM, 0.0):
+                        got = outcome(lambda: ct_contains(cfg, load, d, tol))
+                        want = outcome(lambda: constrained_contains(cfg, ct_query(load, d), tol))
+                        assert got == want, (cfg, load, d, tol)
+                        seen.add(got)
+                    assert outcome(lambda: ct_slacks(cfg, load, d)) == outcome(
+                        lambda: constrained_slacks(cfg, ct_query(load, d))
+                    ), (cfg, load, d)
+                    assert outcome(lambda: synthesize(cfg, load, d).phases) == outcome(
+                        lambda: phases_from_query(cfg, load, d)
+                    ), (cfg, load, d)
+        assert {"True", "False"} <= seen
+        messages = " ".join(seen)
+        for text in ("outside the well-conditioned range", "positive finite ratio",
+                     "r1 must be finite"):
+            assert text in messages
 
     def test_scaling_law(self):
         rng = np.random.default_rng(10)

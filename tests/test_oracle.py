@@ -50,6 +50,17 @@ def test_grid_spec_validation():
     assert spec.steps() == (0.01, 0.02)
 
 
+def test_default_grid_checks_resolution_before_bisection(monkeypatch):
+    import macct.oracle as oracle
+
+    def no_bisection(cfg, load):
+        raise AssertionError("the bisection ran before the resolution check")
+
+    monkeypatch.setattr(oracle, "minimax_time_by_bisection", no_bisection)
+    with pytest.raises(ValueError, match=r"^grid resolution must be an int >= 16, got 8$"):
+        default_grid(CFG33, LOAD_II, 8)
+
+
 def test_bisection_matches_reference_minimax():
     assert minimax_time_by_bisection(CFG33, LOAD_II) == pytest.approx(CBAR_II, rel=1e-11)
     assert minimax_time_by_bisection(CFG33, LOAD_I) == pytest.approx(1.0, rel=1e-11)

@@ -255,6 +255,16 @@ class TestValidate:
                         seen.add((len(p.active_users), outside))
         assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
+    def test_one_gamma_triple_per_call(self, monkeypatch):
+        import macct.capacity as capacity
+
+        s = synthesize(CFG33, LOAD_II, CompletionTimePair(*ABAR_II))
+        calls = []
+        real = capacity.gamma
+        monkeypatch.setattr(capacity, "gamma", lambda x: calls.append(x) or real(x))
+        assert validate(CFG33, LOAD_II, s).ok
+        assert len(calls) == 3
+
     def test_deadline_mismatch_detected(self):
         d = CompletionTimePair(*ABAR_II)
         s = synthesize(CFG33, LOAD_II, d)
