@@ -6,14 +6,20 @@ The same holds for the ratio c of a constrained query and for the
 resolution and bounds of an oracle grid.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from macct import (
+    ChannelConfig,
     CompletionTimePair,
     ConstrainedRateQuery,
     GridSpec,
+    HalfPlane,
     RatePair,
+    TrafficLoad,
     compose,
     dominant_extreme_points,
     map_rate_to_ct,
@@ -90,3 +96,117 @@ def test_numpy_int_grid_resolution_accepted():
     spec = GridSpec(np.int64(32), (0.5, 2.0), (0.5, 2.0))
     assert spec.axes()[0].size == 32
     assert spec.steps() == GridSpec(32, (0.5, 2.0), (0.5, 2.0)).steps()
+
+
+# The domain of each value type: one row per input, holding the stored
+# field's type and repr, or the exception's type and message, for the value
+# placed in the type's first field.  Every other field of a type gives the
+# same row with its own name.
+DOMAIN_INPUTS = (
+    1.5, 0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.0, math.inf, -math.inf, math.nan, 3,
+    np.float64(2.5), np.float32(0.1), np.int64(3), Fraction(3, 2), True,
+)
+DOMAIN = {
+    ChannelConfig: (
+        'float 1.5',  # 1.5
+        'ValueError: p1 must be > 0 (zero power never completes), got 0.0',  # 0.0
+        'ValueError: p1 must be > 0 (zero power never completes), got -0.0',  # -0.0
+        'float 5e-324',  # 5e-324
+        'float 1.7976931348623157e+308',  # 1.7976931348623157e308
+        'ValueError: p1 must be > 0 (zero power never completes), got -1.0',  # -1.0
+        'ValueError: p1 must be finite, got inf',  # inf
+        'ValueError: p1 must be finite, got -inf',  # -inf
+        'ValueError: p1 must be finite, got nan',  # nan
+        'float 3.0',  # 3
+        'float 2.5',  # np.float64(2.5)
+        'float 0.10000000149011612',  # np.float32(0.1)
+        'float 3.0',  # np.int64(3)
+        'float 1.5',  # Fraction(3, 2)
+        'ValueError: p1 must be a number, not a boolean, got True',  # True
+    ),
+    TrafficLoad: (
+        'float 1.5',  # 1.5
+        'ValueError: tau1 must be > 0, got 0.0',  # 0.0
+        'ValueError: tau1 must be > 0, got -0.0',  # -0.0
+        'float 5e-324',  # 5e-324
+        'float 1.7976931348623157e+308',  # 1.7976931348623157e308
+        'ValueError: tau1 must be > 0, got -1.0',  # -1.0
+        'ValueError: tau1 must be finite, got inf',  # inf
+        'ValueError: tau1 must be finite, got -inf',  # -inf
+        'ValueError: tau1 must be finite, got nan',  # nan
+        'float 3.0',  # 3
+        'float 2.5',  # np.float64(2.5)
+        'float 0.10000000149011612',  # np.float32(0.1)
+        'float 3.0',  # np.int64(3)
+        'float 1.5',  # Fraction(3, 2)
+        'ValueError: tau1 must be a number, not a boolean, got True',  # True
+    ),
+    CompletionTimePair: (
+        'float 1.5',  # 1.5
+        'ValueError: d1 must be > 0, got 0.0',  # 0.0
+        'ValueError: d1 must be > 0, got -0.0',  # -0.0
+        'float 5e-324',  # 5e-324
+        'float 1.7976931348623157e+308',  # 1.7976931348623157e308
+        'ValueError: d1 must be > 0, got -1.0',  # -1.0
+        'ValueError: d1 must be finite, got inf',  # inf
+        'ValueError: d1 must be finite, got -inf',  # -inf
+        'ValueError: d1 must be finite, got nan',  # nan
+        'float 3.0',  # 3
+        'float 2.5',  # np.float64(2.5)
+        'float 0.10000000149011612',  # np.float32(0.1)
+        'float 3.0',  # np.int64(3)
+        'float 1.5',  # Fraction(3, 2)
+        'ValueError: d1 must be a number, not a boolean, got True',  # True
+    ),
+    RatePair: (
+        'float 1.5',  # 1.5
+        'float 0.0',  # 0.0
+        'float -0.0',  # -0.0
+        'float 5e-324',  # 5e-324
+        'float 1.7976931348623157e+308',  # 1.7976931348623157e308
+        'ValueError: r1 must be >= 0, got -1.0',  # -1.0
+        'ValueError: r1 must be finite, got inf',  # inf
+        'ValueError: r1 must be finite, got -inf',  # -inf
+        'ValueError: r1 must be finite, got nan',  # nan
+        'float 3.0',  # 3
+        'float 2.5',  # np.float64(2.5)
+        'float 0.10000000149011612',  # np.float32(0.1)
+        'float 3.0',  # np.int64(3)
+        'float 1.5',  # Fraction(3, 2)
+        'ValueError: r1 must be a number, not a boolean, got True',  # True
+    ),
+    HalfPlane: (
+        'float 1.5',  # 1.5
+        'float 0.0',  # 0.0
+        'float -0.0',  # -0.0
+        'float 5e-324',  # 5e-324
+        'float 1.7976931348623157e+308',  # 1.7976931348623157e308
+        'float -1.0',  # -1.0
+        'ValueError: a must be finite, got inf',  # inf
+        'ValueError: a must be finite, got -inf',  # -inf
+        'ValueError: a must be finite, got nan',  # nan
+        'float 3.0',  # 3
+        'float 2.5',  # np.float64(2.5)
+        'float 0.10000000149011612',  # np.float32(0.1)
+        'float 3.0',  # np.int64(3)
+        'float 1.5',  # Fraction(3, 2)
+        'ValueError: a must be a number, not a boolean, got True',  # True
+    ),
+}
+
+
+def _outcome(cls, field, value):
+    fields = {name: 1.0 for name in cls.__dataclass_fields__}
+    try:
+        stored = getattr(cls(**{**fields, field: value}), field)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{type(stored).__name__} {stored!r}"
+
+
+@pytest.mark.parametrize("cls", DOMAIN, ids=lambda cls: cls.__name__)
+def test_value_type_domain(cls):
+    first, *others = cls.__dataclass_fields__
+    for field in (first, *others):
+        expected = tuple(row.replace(f": {first} ", f": {field} ") for row in DOMAIN[cls])
+        assert tuple(_outcome(cls, field, v) for v in DOMAIN_INPUTS) == expected, field

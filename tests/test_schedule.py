@@ -299,3 +299,90 @@ def test_random_instances_round_trip():
             s = synthesize(cfg, load, d)
             report = validate(cfg, load, s)
             assert report.ok, (cfg, load, d, report.violations)
+
+
+# Hand-built schedules, one for each kind of `validate` violation, with the
+# report each one gives.  `every_kind` pins the order of the messages.
+_BOTH, _ONE, _TWO = frozenset({1, 2}), frozenset({1}), frozenset({2})
+_VALID = ((1.0, (0.25, 1.0), _BOTH), (1.0, (0.75, 0.0), _ONE))
+_PENTAGON_0 = (
+    "phase 0: rates (1.2, 1) outside the capacity pentagon: "
+    "single_user_1 violated by 0.2, sum_rate violated by 0.796"
+)
+VIOLATION_CASES = {
+    "valid": (LOAD_II, (2.0, 1.0), _VALID, ()),
+    "no_active_users": (
+        LOAD_II, (2.0, 1.0), (*_VALID, (0.5, (0.0, 0.0), frozenset())),
+        ("phase 2: no active users",),
+    ),
+    "pentagon_breach": (
+        LOAD_II, (2.0, 1.0),
+        ((0.5, (1.2, 1.0), _BOTH), (0.5, (0.2, 1.0), _BOTH), (1.0, (0.3, 0.0), _ONE)),
+        (_PENTAGON_0,),
+    ),
+    "bit_shortfall": (
+        LOAD_II, (2.0, 1.0), ((1.0, (0.25, 1.0), _BOTH), (1.0, (0.5, 0.0), _ONE)),
+        ("user 1: delivers 0.75 bits, load is 1",),
+    ),
+    "activity_not_initial": (
+        TrafficLoad(1.0, 0.5), (1.5, 1.0),
+        ((0.5, (1.0, 0.0), _ONE), (0.5, (0.0, 1.0), _TWO), (0.5, (1.0, 0.0), _ONE)),
+        (
+            "user 1: active phases are not an initial run",
+            "user 2: active phases are not an initial run",
+        ),
+    ),
+    "never_transmits": (
+        LOAD_II, (1.0, 2.0), ((1.0, (1.0, 0.0), _BOTH),),
+        ("user 2: delivers 0 bits, load is 1", "user 2: never transmits"),
+    ),
+    "ends_before_deadline": (
+        LOAD_II, (2.5, 1.0), _VALID,
+        ("user 1: last nonzero-rate phase ends at 2, completion time is 2.5",),
+    ),
+    "achieved_outside": (
+        LOAD_II, (1.3, 1.3), ((1.3, (1.0 / 1.3, 1.0 / 1.3), _BOTH),),
+        (
+            "phase 0: rates (0.769231, 0.769231) outside the capacity pentagon: "
+            "sum_rate violated by 0.135",
+            "achieved pair (1.3, 1.3) is not in the region",
+        ),
+    ),
+    "pentagon_and_bits": (
+        LOAD_II, (2.0, 1.0), ((1.0, (1.2, 1.0), _BOTH), (1.0, (0.75, 0.0), _ONE)),
+        (_PENTAGON_0, "user 1: delivers 1.95 bits, load is 1"),
+    ),
+    "every_kind": (
+        LOAD_II, (1.5, 0.5),
+        (
+            (0.5, (0.0, 0.0), frozenset()),
+            (0.5, (1.2, 0.5), _BOTH),
+            (0.5, (0.0, 0.0), frozenset()),
+        ),
+        (
+            "phase 0: no active users",
+            "phase 1: rates (1.2, 0.5) outside the capacity pentagon: "
+            "single_user_1 violated by 0.2, sum_rate violated by 0.296",
+            "phase 2: no active users",
+            "user 1: delivers 0.6 bits, load is 1",
+            "user 2: delivers 0.25 bits, load is 1",
+            "user 1: active phases are not an initial run",
+            "user 1: last nonzero-rate phase ends at 1, completion time is 1.5",
+            "user 2: active phases are not an initial run",
+            "user 2: last nonzero-rate phase ends at 1, completion time is 0.5",
+            "achieved pair (1.5, 0.5) is not in the region",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATION_CASES))
+def test_validate_reports_each_violation_kind(name):
+    load, d, phases, expected = VIOLATION_CASES[name]
+    s = Schedule(
+        tuple(Phase(t, RatePair(*r), users) for t, r, users in phases),
+        CompletionTimePair(*d),
+    )
+    report = validate(CFG33, load, s)
+    assert report.violations == expected
+    assert report.ok == (not expected)
