@@ -98,6 +98,9 @@ def _membership_slacks(g: Gammas, r1, r2, c) -> tuple:
 
 def _violations(slacks: tuple, tol: float) -> str:
     """`"<name> violated by <amount>"` for each slack below -tol, comma-separated."""
+    s1, s2, s3 = slacks
+    if not (s1 < -tol or s2 < -tol or s3 < -tol):  # the common case: nothing to report
+        return ""
     return ", ".join(
         f"{name} violated by {-s:.3g}"
         for name, s in zip(_NAMES, slacks)

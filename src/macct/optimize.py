@@ -95,16 +95,16 @@ class WeightedSumSolution:
 
 def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
     """The three switching weights; always w1 < w2 by strict subadditivity."""
-    return _thresholds(_gammas(cfg), load)
+    g = _gammas(cfg)
+    return Thresholds(*(_threshold(g, load, name) for name in ("w1", "w2", "w3")))
 
 
-def _thresholds(g: Gammas, load: TrafficLoad) -> Thresholds:
+def _threshold(g: Gammas, load: TrafficLoad, name: str) -> float:
+    """The switching weight called name: "w1", "w2" or "w3"."""
     g1, g2, g12 = g
-    return Thresholds(
-        w1=(g12 - g2) / g12,
-        w2=g1 / g12,
-        w3=load.tau1 / (load.tau1 + load.tau2),
-    )
+    if name == "w3":
+        return load.tau1 / (load.tau1 + load.tau2)
+    return (g12 - g2) / g12 if name == "w1" else g1 / g12
 
 
 def objective_d(
@@ -176,7 +176,7 @@ def _cross_checked(
 def _solve(g: Gammas, load: TrafficLoad, w: float, case: Case, row) -> WeightedSumSolution:
     """The row's low cell for w up to its threshold, else its high cell."""
     low, high, threshold = row
-    cell, other = (low, high) if w <= getattr(_thresholds(g, load), threshold) else (high, low)
+    cell, other = (low, high) if w <= _threshold(g, load, threshold) else (high, low)
     value, point = _evaluate_cell(g, load, w, case, *cell)
     other_value, other_point = _evaluate_cell(g, load, w, case, *other)
     tie = _is_tie(value, point, other_value, other_point)

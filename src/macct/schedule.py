@@ -35,6 +35,8 @@ from .types import (
 # Phases shorter than this are dropped entirely.
 _MIN_DURATION = 1e-12
 _BIT_TOL = 1e-9
+_BOTH = frozenset((1, 2))  # the user sets of a shared phase and of each solo phase
+_SOLO = (frozenset((1,)), frozenset((2,)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,11 +50,30 @@ class Phase:
     def __post_init__(self) -> None:
         if _require_finite("duration", self.duration) < 0.0:
             raise ValueError(f"phase duration must be >= 0, got {self.duration}")
-        if not self.active_users <= {1, 2}:
-            raise ValueError("active_users must be a subset of {1, 2}")
-        for user, rate in enumerate(self.rates.as_tuple(), 1):
-            if user not in self.active_users and rate != 0.0:
-                raise ValueError(f"inactive user {user} must have rate 0")
+        object.__setattr__(self, "active_users", users := _user_set(self.active_users))
+        if not isinstance(self.rates, RatePair):
+            raise ValueError(f"rates must be a RatePair, got {self.rates!r}")
+        r1, r2 = self.rates.r1, self.rates.r2
+        if r1 != 0.0 and 1 not in users or r2 != 0.0 and 2 not in users:
+            user = 1 if r1 != 0.0 and 1 not in users else 2
+            raise ValueError(f"inactive user {user} must have rate 0")
+
+
+def _user_set(users) -> frozenset[int]:
+    """users as a frozenset of the ints 1 and 2; one that already is, is returned as it is."""
+    if type(users) is frozenset and users <= _BOTH:
+        for user in users:
+            if type(user) is not int:  # a bool, a float or a numpy int equal to 1 or 2
+                break
+        else:
+            return users
+    try:
+        users = frozenset(users)
+    except TypeError:
+        raise ValueError(f"active_users must be a set of users, got {users!r}") from None
+    if not users <= _BOTH:
+        raise ValueError("active_users must be a subset of {1, 2}")
+    return frozenset(_user_index("active user", user) for user in users)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,12 +113,12 @@ def synthesize(
     solo = [0.0, 0.0]
     solo[late] = solo_rate
     phases = (
-        (times[early], shared, {1, 2}),
-        (times[late] - times[early], solo, {late + 1}),
+        (times[early], shared, _BOTH),
+        (times[late] - times[early], solo, _SOLO[late]),
     )
     return Schedule(
         tuple(
-            Phase(t, RatePair(*rates), frozenset(users))
+            Phase(t, RatePair(*rates), users)
             for t, rates, users in phases
             if t >= _MIN_DURATION
         ),
@@ -124,8 +145,8 @@ def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:
     scaled = [
         (p, p.duration * alpha) for p in s.phases
     ] + [(p, p.duration * (1.0 - alpha)) for p in s_prime.phases]
-    shared = [(p, t) for p, t in scaled if p.active_users == {1, 2}]
-    solo = [(p, t) for p, t in scaled if p.active_users != {1, 2}]
+    shared = [(p, t) for p, t in scaled if p.active_users == _BOTH]
+    solo = [(p, t) for p, t in scaled if p.active_users != _BOTH]
     phases = tuple(
         Phase(t, p.rates, p.active_users)
         for p, t in shared + solo
@@ -144,52 +165,48 @@ def validate(
     """Check every schedule invariant; violations are reported, not raised."""
     violations: list[str] = []
     g = _gammas(cfg)
-
+    # One pass over the phases tests their rates and gathers, per user:
+    bits: tuple[list[float], list[float]] = ([], [])  # summed as `bits_delivered` sums
+    runs = [0, 0]  # active phases so far while they form an initial run, else -1
+    last_end = [None, None]  # end of the last nonzero-rate phase
+    end = 0.0
     for k, phase in enumerate(s.phases):
-        if not phase.active_users:
+        users = phase.active_users
+        if not users:
             violations.append(f"phase {k}: no active users")
         # The pentagon is the c = 1 region; a silent user's rate is exactly 0.
-        r1, r2 = phase.rates.r1, phase.rates.r2
-        violated = _violations(_membership_slacks(g, r1, r2, 1.0), tol)
+        rates = phase.rates.as_tuple()
+        violated = _violations(_membership_slacks(g, *rates, 1.0), tol)
         if violated:
             violations.append(
-                f"phase {k}: rates ({r1:.6g}, {r2:.6g}) outside the capacity pentagon: {violated}"
+                f"phase {k}: rates ({rates[0]:.6g}, {rates[1]:.6g}) outside the capacity "
+                f"pentagon: {violated}"
             )
+        end += phase.duration
+        for i, rate in enumerate(rates):
+            bits[i].append(phase.duration * rate)
+            if i + 1 in users:
+                runs[i] = runs[i] + 1 if runs[i] == k else -1
+            if rate > 0.0:
+                last_end[i] = end
 
     for user, tau in ((1, load.tau1), (2, load.tau2)):
-        delivered = s.bits_delivered(user)
+        delivered = sum(bits[user - 1])
         if abs(delivered - tau) > _BIT_TOL:
+            violations.append(f"user {user}: delivers {delivered:.12g} bits, load is {tau:.12g}")
+    for user, deadline in ((1, s.achieved.d1), (2, s.achieved.d2)):
+        if runs[user - 1] < 0:
+            violations.append(f"user {user}: active phases are not an initial run")
+        if last_end[user - 1] is None:
+            violations.append(f"user {user}: never transmits")
+        elif abs(last_end[user - 1] - deadline) > _BIT_TOL:
             violations.append(
-                f"user {user}: delivers {delivered:.12g} bits, load is {tau:.12g}"
+                f"user {user}: last nonzero-rate phase ends at "
+                f"{last_end[user - 1]:.12g}, completion time is {deadline:.12g}"
             )
-
-    violations.extend(_activity_violations(s))
 
     if not _ct_member(g, load, s.achieved, tol):
         violations.append(
             f"achieved pair ({s.achieved.d1:.6g}, {s.achieved.d2:.6g}) is not in the region"
         )
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def _activity_violations(s: Schedule) -> list[str]:
-    """Activity must be an initial run of phases ending exactly at d_i."""
-    violations: list[str] = []
-    for user, deadline in ((1, s.achieved.d1), (2, s.achieved.d2)):
-        active_flags = [user in p.active_users for p in s.phases]
-        if active_flags != sorted(active_flags, reverse=True):  # a True after a False
-            violations.append(f"user {user}: active phases are not an initial run")
-        end = 0.0
-        last_transmitting_end = None
-        for phase in s.phases:
-            end += phase.duration
-            if phase.rates.as_tuple()[user - 1] > 0.0:
-                last_transmitting_end = end
-        if last_transmitting_end is None:
-            violations.append(f"user {user}: never transmits")
-        elif abs(last_transmitting_end - deadline) > _BIT_TOL:
-            violations.append(
-                f"user {user}: last nonzero-rate phase ends at "
-                f"{last_transmitting_end:.12g}, completion time is {deadline:.12g}"
-            )
-    return violations

@@ -30,13 +30,29 @@ class ConsistencyError(RuntimeError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    if type(value) is not float:  # exact floats, the common case, skip the conversion
+    """value as a finite float; a bool or anything that is not a real number is refused."""
+    if type(value) is not float:  # exact floats, the common case, skip the type tests
+        import numbers
+
         if isinstance(value, bool):
             raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_fields(obj, names: tuple[str, ...], floor: float, rule: str = "") -> None:
+    """Each named field of frozen obj must be a finite float above floor; `rule` words the floor."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not float or not floor < value < math.inf:  # exact floats in range pass
+            value = _require_finite(name, value)  # converted and stored back as a float
+            if not value > floor:
+                raise ValueError(f"{name} must be {rule}, got {value}")
+            object.__setattr__(obj, name, value)
 
 
 def _user_index(name: str, value: int) -> int:
@@ -68,11 +84,7 @@ class ChannelConfig:
     p2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("p1", self.p1), ("p2", self.p2)):
-            value = _require_finite(name, value)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0 (zero power never completes), got {value}")
-            object.__setattr__(self, name, value)
+        _require_fields(self, ("p1", "p2"), 0.0, "> 0 (zero power never completes)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,11 +100,7 @@ class RatePair:
     r2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("r1", self.r1), ("r2", self.r2)):
-            value = _require_finite(name, value)
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+        _require_fields(self, ("r1", "r2"), -5e-324, ">= 0")  # for a float, > -5e-324 is >= 0
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.r1, self.r2)
@@ -106,11 +114,7 @@ class TrafficLoad:
     tau2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("tau1", self.tau1), ("tau2", self.tau2)):
-            value = _require_finite(name, value)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-            object.__setattr__(self, name, value)
+        _require_fields(self, ("tau1", "tau2"), 0.0, "> 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,11 +125,7 @@ class CompletionTimePair:
     d2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("d1", self.d1), ("d2", self.d2)):
-            value = _require_finite(name, value)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-            object.__setattr__(self, name, value)
+        _require_fields(self, ("d1", "d2"), 0.0, "> 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.d1, self.d2)
@@ -140,8 +140,7 @@ class HalfPlane:
     c: float
 
     def __post_init__(self) -> None:
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
-            object.__setattr__(self, name, _require_finite(name, value))
+        _require_fields(self, ("a", "b", "c"), -math.inf)
         if self.a == 0.0 and self.b == 0.0:
             raise ValueError("half-plane normal (a, b) must be nonzero")
 

@@ -7,6 +7,7 @@ resolution and bounds of an oracle grid.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -210,3 +211,23 @@ def test_value_type_domain(cls):
     for field in (first, *others):
         expected = tuple(row.replace(f": {first} ", f": {field} ") for row in DOMAIN[cls])
         assert tuple(_outcome(cls, field, v) for v in DOMAIN_INPUTS) == expected, field
+
+
+# Inputs that are neither finite floats nor real numbers; each is refused
+# with a message naming the field, where `float()` used to convert or choke.
+NOT_REAL = ("3", None, 1 + 0j, np.complex128(2), Decimal("1.5"))
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("cls", DOMAIN, ids=lambda cls: cls.__name__)
+def test_value_types_refuse_non_reals(cls, bad):
+    for field in cls.__dataclass_fields__:
+        assert _outcome(cls, field, bad) == f"ValueError: {field} must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+def test_ratio_and_grid_bounds_refuse_non_reals(bad):
+    with pytest.raises(ValueError, match="c must be a real number"):
+        ConstrainedRateQuery(R, bad)
+    with pytest.raises(ValueError, match="must be a real number"):
+        GridSpec(16, (bad, 2.0), (0.5, 2.0))

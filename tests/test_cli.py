@@ -226,6 +226,14 @@ class TestScenarioHandling:
         rc, _, err = run(["check", "--scenario", str(scenario), "3", "3"], capsys)
         assert rc == 2 and "channel powers" in err
 
+    def test_string_numbers_in_scenario_exit_2(self, tmp_path, capsys):
+        # every number in a scenario file must be a JSON number
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"p1": "3", "p2": 3, "tau1": "1", "tau2": 1}))
+        rc, out, err = run(["region", "--scenario", str(scenario)], capsys)
+        assert rc == 2 and out == ""
+        assert "p1 must be a real number, got '3'" in err
+
     def test_non_boolean_db_rejected(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"p1": 20, "p2": 10, "tau1": 1, "tau2": 1, "db": "no"}))

@@ -282,6 +282,32 @@ def test_phase_invariants_enforced_at_construction():
         Phase(1.0, RatePair(0.0, 0.1), frozenset({3}))
 
 
+@pytest.mark.parametrize("users", [[1, 2], (2, 1), {1, 2}, frozenset({np.int64(1), 2})])
+def test_phase_stores_users_as_frozenset_of_ints(users):
+    phase = Phase(1.0, RatePair(0.5, 0.5), users)
+    assert phase.active_users == {1, 2}
+    assert type(phase.active_users) is frozenset
+    assert {type(user) for user in phase.active_users} == {int}
+    assert hash(phase) == hash(Phase(1.0, RatePair(0.5, 0.5), frozenset({1, 2})))
+
+
+@pytest.mark.parametrize("users, match", [
+    (frozenset({True, 2}), "active user must be the int 1 or 2, got True"),
+    (frozenset({1.0, 2}), "active user must be the int 1 or 2, got 1.0"),
+    ({3}, r"active_users must be a subset of \{1, 2\}"),
+    (1, "active_users must be a set of users, got 1"),
+])
+def test_phase_rejects_bad_users(users, match):
+    with pytest.raises(ValueError, match=match):
+        Phase(1.0, RatePair(0.5, 0.5), users)
+
+
+@pytest.mark.parametrize("rates", [(0.5, 0.5), None, 0.5])
+def test_phase_rejects_rates_that_are_not_a_rate_pair(rates):
+    with pytest.raises(ValueError, match="rates must be a RatePair"):
+        Phase(1.0, rates, frozenset({1, 2}))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_phase_rejects_non_finite_duration(bad):
     # NaN slips past every ordered comparison, so validate() would pass it
