@@ -50,7 +50,8 @@ class Phase:
     def __post_init__(self) -> None:
         if _require_finite("duration", self.duration) < 0.0:
             raise ValueError(f"phase duration must be >= 0, got {self.duration}")
-        object.__setattr__(self, "active_users", users := _user_set(self.active_users))
+        users = _user_set(self.active_users)
+        object.__setattr__(self, "active_users", users)
         if not isinstance(self.rates, RatePair):
             raise ValueError(f"rates must be a RatePair, got {self.rates!r}")
         r1, r2 = self.rates.r1, self.rates.r2

@@ -216,16 +216,17 @@ def test_value_type_domain(cls):
 # Inputs that are neither finite floats nor real numbers; each is refused
 # with a message naming the field, where `float()` used to convert or choke.
 NOT_REAL = ("3", None, 1 + 0j, np.complex128(2), Decimal("1.5"))
+NOT_REAL_IDS = ("str", "None", "complex", "np.complex128", "Decimal")
 
 
-@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("bad", NOT_REAL, ids=NOT_REAL_IDS)
 @pytest.mark.parametrize("cls", DOMAIN, ids=lambda cls: cls.__name__)
 def test_value_types_refuse_non_reals(cls, bad):
     for field in cls.__dataclass_fields__:
         assert _outcome(cls, field, bad) == f"ValueError: {field} must be a real number, got {bad!r}"
 
 
-@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("bad", NOT_REAL, ids=NOT_REAL_IDS)
 def test_ratio_and_grid_bounds_refuse_non_reals(bad):
     with pytest.raises(ValueError, match="c must be a real number"):
         ConstrainedRateQuery(R, bad)
