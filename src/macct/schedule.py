@@ -48,8 +48,10 @@ class Phase:
     active_users: frozenset[int]
 
     def __post_init__(self) -> None:
-        if _require_finite("duration", self.duration) < 0.0:
-            raise ValueError(f"phase duration must be >= 0, got {self.duration}")
+        duration = _require_finite("duration", self.duration)
+        if duration < 0.0:
+            raise ValueError(f"phase duration must be >= 0, got {duration}")
+        object.__setattr__(self, "duration", duration)
         users = _user_set(self.active_users)
         object.__setattr__(self, "active_users", users)
         if not isinstance(self.rates, RatePair):

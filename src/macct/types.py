@@ -38,7 +38,11 @@ def _require_finite(name: str, value: float) -> float:
             raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
         if not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise ValueError(f"{name} must be finite, got {type(value).__name__} "
+                             "beyond the float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

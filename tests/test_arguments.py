@@ -19,6 +19,7 @@ from macct import (
     ConstrainedRateQuery,
     GridSpec,
     HalfPlane,
+    Phase,
     RatePair,
     TrafficLoad,
     compose,
@@ -105,7 +106,8 @@ def test_numpy_int_grid_resolution_accepted():
 # same row with its own name.
 DOMAIN_INPUTS = (
     1.5, 0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.0, math.inf, -math.inf, math.nan, 3,
-    np.float64(2.5), np.float32(0.1), np.int64(3), Fraction(3, 2), True,
+    np.float64(2.5), np.float32(0.1), np.int64(3), Fraction(3, 2), True, 10**400, -10**400,
+    Fraction(10**400),
 )
 DOMAIN = {
     ChannelConfig: (
@@ -124,6 +126,9 @@ DOMAIN = {
         'float 3.0',  # np.int64(3)
         'float 1.5',  # Fraction(3, 2)
         'ValueError: p1 must be a number, not a boolean, got True',  # True
+        'ValueError: p1 must be finite, got int beyond the float range',  # 10**400
+        'ValueError: p1 must be finite, got int beyond the float range',  # -10**400
+        'ValueError: p1 must be finite, got Fraction beyond the float range',  # Fraction(10**400)
     ),
     TrafficLoad: (
         'float 1.5',  # 1.5
@@ -141,6 +146,9 @@ DOMAIN = {
         'float 3.0',  # np.int64(3)
         'float 1.5',  # Fraction(3, 2)
         'ValueError: tau1 must be a number, not a boolean, got True',  # True
+        'ValueError: tau1 must be finite, got int beyond the float range',  # 10**400
+        'ValueError: tau1 must be finite, got int beyond the float range',  # -10**400
+        'ValueError: tau1 must be finite, got Fraction beyond the float range',  # Fraction(10**400)
     ),
     CompletionTimePair: (
         'float 1.5',  # 1.5
@@ -158,6 +166,9 @@ DOMAIN = {
         'float 3.0',  # np.int64(3)
         'float 1.5',  # Fraction(3, 2)
         'ValueError: d1 must be a number, not a boolean, got True',  # True
+        'ValueError: d1 must be finite, got int beyond the float range',  # 10**400
+        'ValueError: d1 must be finite, got int beyond the float range',  # -10**400
+        'ValueError: d1 must be finite, got Fraction beyond the float range',  # Fraction(10**400)
     ),
     RatePair: (
         'float 1.5',  # 1.5
@@ -175,6 +186,9 @@ DOMAIN = {
         'float 3.0',  # np.int64(3)
         'float 1.5',  # Fraction(3, 2)
         'ValueError: r1 must be a number, not a boolean, got True',  # True
+        'ValueError: r1 must be finite, got int beyond the float range',  # 10**400
+        'ValueError: r1 must be finite, got int beyond the float range',  # -10**400
+        'ValueError: r1 must be finite, got Fraction beyond the float range',  # Fraction(10**400)
     ),
     HalfPlane: (
         'float 1.5',  # 1.5
@@ -192,6 +206,9 @@ DOMAIN = {
         'float 3.0',  # np.int64(3)
         'float 1.5',  # Fraction(3, 2)
         'ValueError: a must be a number, not a boolean, got True',  # True
+        'ValueError: a must be finite, got int beyond the float range',  # 10**400
+        'ValueError: a must be finite, got int beyond the float range',  # -10**400
+        'ValueError: a must be finite, got Fraction beyond the float range',  # Fraction(10**400)
     ),
 }
 
@@ -211,6 +228,15 @@ def test_value_type_domain(cls):
     for field in (first, *others):
         expected = tuple(row.replace(f": {first} ", f": {field} ") for row in DOMAIN[cls])
         assert tuple(_outcome(cls, field, v) for v in DOMAIN_INPUTS) == expected, field
+
+
+@pytest.mark.parametrize(
+    "duration", [3, Fraction(1, 2), np.float64(0.25)], ids=["int", "Fraction", "np.float64"]
+)
+def test_phase_stores_duration_as_float(duration):
+    phase = Phase(duration, RatePair(1.0, 0.0), frozenset({1}))
+    assert type(phase.duration) is float
+    assert phase.duration == duration
 
 
 # Inputs that are neither finite floats nor real numbers; each is refused

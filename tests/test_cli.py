@@ -234,6 +234,14 @@ class TestScenarioHandling:
         assert rc == 2 and out == ""
         assert "p1 must be a real number, got '3'" in err
 
+    def test_integer_beyond_float_range_in_scenario_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"p1": 3, "p2": 3, "tau1": 10**400, "tau2": 1}))
+        rc, out, err = run(["region", "--scenario", str(scenario)], capsys)
+        assert rc == 2 and out == ""
+        assert "tau1 must be finite, got int beyond the float range" in err
+        assert "Traceback" not in err
+
     def test_non_boolean_db_rejected(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"p1": 20, "p2": 10, "tau1": 1, "tau2": 1, "db": "no"}))

@@ -163,14 +163,34 @@ class TestMinimaxOracle:
             assert report.optimum_value - report.certified_gap_bound <= target
 
     def test_band_restriction_matches_full_sweep(self):
-        spec = default_grid(CFG33, LOAD_II, 161)
-        report = oracle_minimax(CFG33, LOAD_II, spec)
-        x, y = spec.axes()
+        # Both optimum oracles against an inline N^2 sweep, whose row-major
+        # first hit is the lexicographically smallest grid optimizer.
         from macct import ct_contains_grid
 
-        mask = ct_contains_grid(CFG33, LOAD_II, x[:, None], y[None, :])
-        objective = np.where(mask, np.maximum(x[:, None], y[None, :]), np.inf)
-        assert report.optimum_value == pytest.approx(float(objective.min()), abs=0)
+        rng = np.random.default_rng(161)
+        for case in ("I", "II", "III"):
+            for resolution in (16, 17, 64, 161):
+                cfg, load = random_instance(rng, case)
+                spec = default_grid(cfg, load, resolution)
+                # starts below user 1's solo floor, so its lowest columns are empty
+                low_empty = GridSpec(
+                    resolution, (0.5 * load.tau1 / gamma(cfg.p1), spec.d1_bounds[1]),
+                    spec.d2_bounds,
+                )
+                for grid in (spec, low_empty):
+                    x, y = grid.axes()
+                    mask = ct_contains_grid(cfg, load, x[:, None], y[None, :])
+                    assert grid is spec or not mask[0].any()
+                    reports = [
+                        (lambda d1, d2, w=w: w * d1 + (1.0 - w) * d2,
+                         oracle_weighted_min(cfg, load, w, grid))
+                        for w in (0.0, 0.2, 0.5, 1.0)
+                    ] + [(np.maximum, oracle_minimax(cfg, load, grid))]
+                    for objective, report in reports:
+                        values = np.where(mask, objective(x[:, None], y[None, :]), np.inf)
+                        i, j = divmod(int(np.argmin(values)), y.size)
+                        assert report.optimum_value == values[i, j], (case, resolution)
+                        assert report.optimizer == CompletionTimePair(x[i], y[j]), (case, resolution)
 
     def test_empty_grid(self):
         with pytest.raises(InfeasibleError):
