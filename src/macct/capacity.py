@@ -20,22 +20,34 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .types import EPS_MEM, ChannelConfig, ConvexPiece, HalfPlane, RatePair, _user_index
+from .types import (
+    EPS_MEM,
+    ChannelConfig,
+    ConvexPiece,
+    HalfPlane,
+    RatePair,
+    _require_finite,
+    _user_index,
+)
 
 # (gamma(P1), gamma(P2), gamma(P1+P2)): the pentagon's three face levels.
 Gammas = tuple[float, float, float]
+
+_LN2 = math.log(2.0)
 
 
 def gamma(x: float) -> float:
     """Gaussian capacity 0.5*log2(1+x) of a unit-noise link at SNR x.
 
-    Strictly increasing and concave on [0, inf).
+    Strictly increasing and concave on [0, inf).  x is a real number, as
+    for the value types: a bool, a string or `None` is refused.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"gamma is defined for finite x >= 0, got {x!r}")
+    if type(x) is not float or not 0.0 <= x < math.inf:  # exact floats in range pass
+        x = float(x) if isinstance(x, float) else _require_finite("x", x)
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"gamma is defined for finite x >= 0, got {x!r}")
     # log1p keeps full precision for x near 0, where 1 + x would round to 1.
-    return 0.5 * math.log1p(x) / math.log(2.0)
+    return 0.5 * math.log1p(x) / _LN2
 
 
 def _gammas(cfg: ChannelConfig) -> Gammas:

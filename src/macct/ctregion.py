@@ -34,6 +34,7 @@ equal-time vertex Cbar.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -41,7 +42,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma, region_contains
-from .constrained import _NAMES, ConstrainedRateQuery, _check_ratio, _membership_slacks
+from .constrained import (
+    _C_MAX,
+    _C_MIN,
+    _NAMES,
+    ConstrainedRateQuery,
+    _check_ratio,
+    _membership_slacks,
+)
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -49,6 +57,7 @@ from .types import (
     ConsistencyError,
     ConvexPiece,
     HalfPlane,
+    InfeasibleError,
     RatePair,
     TrafficLoad,
     _require_finite,
@@ -171,11 +180,26 @@ def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:
     return ConstrainedRateQuery(RatePair(r1, r2), c)
 
 
-def _ct_rates(load: TrafficLoad, d: CompletionTimePair) -> tuple[float, float, float]:
-    """`ct_query`'s (r1, r2, c) as floats, with its checks, order and messages."""
-    r1 = _require_finite("r1", load.tau1 / d.d1)
-    r2 = _require_finite("r2", load.tau2 / d.d2)
-    return r1, r2, _check_ratio(d.d1 / d.d2)
+def _ct_rates(
+    load: TrafficLoad, d: CompletionTimePair, solo_floor: bool = False
+) -> tuple[float, float, float]:
+    """`ct_query`'s (r1, r2, c) as floats, with its checks, order and messages.
+
+    A rate tau_i/d_i that overflows puts d_i below user i's solo floor.  With
+    `solo_floor` that raises `InfeasibleError` naming the floor, before the c
+    check; without it, the rate's `ValueError`, as in `ct_query`.
+    """
+    r1, r2, c = load.tau1 / d.d1, load.tau2 / d.d2, d.d1 / d.d2
+    if r1 < math.inf and r2 < math.inf and _C_MIN <= c <= _C_MAX:  # every check passes
+        return r1, r2, c
+    if solo_floor and (r1 == math.inf or r2 == math.inf):
+        violated = ", ".join(
+            f"{name} violated by inf" for name, r in zip(_NAMES, (r1, r2)) if r == math.inf
+        )
+        raise InfeasibleError(
+            f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}"
+        )
+    return _require_finite("r1", r1), _require_finite("r2", r2), _check_ratio(c)
 
 
 def ct_contains(
@@ -187,7 +211,12 @@ def ct_contains(
 
 def _ct_member(g: Gammas, load: TrafficLoad, d: CompletionTimePair, tol: float) -> bool:
     """`ct_contains` given the `_gammas` triple; the scalar twin of `ct_contains_grid`."""
-    return all(s >= -tol for s in _membership_slacks(g, *_ct_rates(load, d)))
+    try:
+        rates = _ct_rates(load, d, solo_floor=True)
+    except InfeasibleError:  # a rate overflowed: d lies below a solo floor
+        return False
+    s1, s2, s3 = _membership_slacks(g, *rates)
+    return bool(s1 >= -tol and s2 >= -tol and s3 >= -tol)  # a bool for numpy tol too
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:

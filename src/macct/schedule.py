@@ -15,6 +15,7 @@ lengths appear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .capacity import _gammas
@@ -48,12 +49,16 @@ class Phase:
     active_users: frozenset[int]
 
     def __post_init__(self) -> None:
-        duration = _require_finite("duration", self.duration)
-        if duration < 0.0:
-            raise ValueError(f"phase duration must be >= 0, got {duration}")
-        object.__setattr__(self, "duration", duration)
-        users = _user_set(self.active_users)
-        object.__setattr__(self, "active_users", users)
+        duration = self.duration
+        if type(duration) is not float or not 0.0 <= duration < math.inf:  # in range: pass
+            duration = _require_finite("duration", duration)
+            if duration < 0.0:
+                raise ValueError(f"phase duration must be >= 0, got {duration}")
+            object.__setattr__(self, "duration", duration)
+        users = self.active_users
+        if users is not _BOTH and users is not _SOLO[0] and users is not _SOLO[1]:
+            users = _user_set(users)  # an equal set may still hold True or 1.0
+            object.__setattr__(self, "active_users", users)
         if not isinstance(self.rates, RatePair):
             raise ValueError(f"rates must be a RatePair, got {self.rates!r}")
         r1, r2 = self.rates.r1, self.rates.r2
@@ -86,7 +91,10 @@ class Schedule:
 
     def bits_delivered(self, user: int) -> float:
         k = _user_index("user", user) - 1
-        return sum(p.duration * p.rates.as_tuple()[k] for p in self.phases)
+        bits = 0.0  # a running sum, as `validate` adds; `sum()` compensates from Python 3.12
+        for p in self.phases:
+            bits += p.duration * p.rates.as_tuple()[k]
+        return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,27 +114,18 @@ def synthesize(
     Raises InfeasibleError, naming the violated constraint, for d outside
     the region.
     """
-    r1, r2, c = _ct_rates(load, d)
+    r1, r2, c = _ct_rates(load, d, solo_floor=True)
     shared_rate, solo_rate, solo_user = _decompose(_gammas(cfg), r1, r2, c, tol)
-    late = solo_user - 1  # user 2 at d1 == d2, with an empty solo phase
-    early = 1 - late
-    times = d.as_tuple()
-    shared = [r1, r2]
-    shared[late] = shared_rate
-    solo = [0.0, 0.0]
-    solo[late] = solo_rate
-    phases = (
-        (times[early], shared, _BOTH),
-        (times[late] - times[early], solo, _SOLO[late]),
-    )
-    return Schedule(
-        tuple(
-            Phase(t, RatePair(*rates), users)
-            for t, rates, users in phases
-            if t >= _MIN_DURATION
-        ),
-        achieved=d,
-    )
+    if solo_user == 1:  # user 1 finishes last
+        early, late, shared, solo = d.d2, d.d1, (shared_rate, r2), (solo_rate, 0.0)
+    else:  # user 2 finishes last, or both at d1 == d2 with an empty solo phase
+        early, late, shared, solo = d.d1, d.d2, (r1, shared_rate), (0.0, solo_rate)
+    phases = []
+    if early >= _MIN_DURATION:
+        phases.append(Phase(early, RatePair(*shared), _BOTH))
+    if late - early >= _MIN_DURATION:
+        phases.append(Phase(late - early, RatePair(*solo), _SOLO[solo_user - 1]))
+    return Schedule(tuple(phases), achieved=d)
 
 
 def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:
@@ -168,44 +167,52 @@ def validate(
     """Check every schedule invariant; violations are reported, not raised."""
     violations: list[str] = []
     g = _gammas(cfg)
-    # One pass over the phases tests their rates and gathers, per user:
-    bits: tuple[list[float], list[float]] = ([], [])  # summed as `bits_delivered` sums
-    runs = [0, 0]  # active phases so far while they form an initial run, else -1
-    last_end = [None, None]  # end of the last nonzero-rate phase
+    # One pass over the phases tests their rates and gathers, per user: the bits
+    # delivered, added as `bits_delivered` adds them; the count of active phases
+    # while they form an initial run, else -1; and the end of the last phase in
+    # which the user's rate is nonzero.
+    bits1 = bits2 = 0.0
+    run1 = run2 = 0
+    last1 = last2 = None
     end = 0.0
     for k, phase in enumerate(s.phases):
         users = phase.active_users
         if not users:
             violations.append(f"phase {k}: no active users")
         # The pentagon is the c = 1 region; a silent user's rate is exactly 0.
-        rates = phase.rates.as_tuple()
-        violated = _violations(_membership_slacks(g, *rates, 1.0), tol)
+        r1, r2 = phase.rates.r1, phase.rates.r2
+        violated = _violations(_membership_slacks(g, r1, r2, 1.0), tol)
         if violated:
             violations.append(
-                f"phase {k}: rates ({rates[0]:.6g}, {rates[1]:.6g}) outside the capacity "
+                f"phase {k}: rates ({r1:.6g}, {r2:.6g}) outside the capacity "
                 f"pentagon: {violated}"
             )
-        end += phase.duration
-        for i, rate in enumerate(rates):
-            bits[i].append(phase.duration * rate)
-            if i + 1 in users:
-                runs[i] = runs[i] + 1 if runs[i] == k else -1
-            if rate > 0.0:
-                last_end[i] = end
+        t = phase.duration
+        end += t
+        bits1 += t * r1
+        bits2 += t * r2
+        if 1 in users:
+            run1 = run1 + 1 if run1 == k else -1
+        if 2 in users:
+            run2 = run2 + 1 if run2 == k else -1
+        if r1 > 0.0:
+            last1 = end
+        if r2 > 0.0:
+            last2 = end
 
-    for user, tau in ((1, load.tau1), (2, load.tau2)):
-        delivered = sum(bits[user - 1])
+    for user, delivered, tau in ((1, bits1, load.tau1), (2, bits2, load.tau2)):
         if abs(delivered - tau) > _BIT_TOL:
             violations.append(f"user {user}: delivers {delivered:.12g} bits, load is {tau:.12g}")
-    for user, deadline in ((1, s.achieved.d1), (2, s.achieved.d2)):
-        if runs[user - 1] < 0:
+    for user, run, last, deadline in ((1, run1, last1, s.achieved.d1),
+                                      (2, run2, last2, s.achieved.d2)):
+        if run < 0:
             violations.append(f"user {user}: active phases are not an initial run")
-        if last_end[user - 1] is None:
+        if last is None:
             violations.append(f"user {user}: never transmits")
-        elif abs(last_end[user - 1] - deadline) > _BIT_TOL:
+        elif abs(last - deadline) > _BIT_TOL:
             violations.append(
                 f"user {user}: last nonzero-rate phase ends at "
-                f"{last_end[user - 1]:.12g}, completion time is {deadline:.12g}"
+                f"{last:.12g}, completion time is {deadline:.12g}"
             )
 
     if not _ct_member(g, load, s.achieved, tol):

@@ -24,6 +24,7 @@ from macct import (
     TrafficLoad,
     compose,
     dominant_extreme_points,
+    gamma,
     map_rate_to_ct,
     minimize_subregion,
     minimize_weighted_sum,
@@ -213,13 +214,17 @@ DOMAIN = {
 }
 
 
-def _outcome(cls, field, value):
-    fields = {name: 1.0 for name in cls.__dataclass_fields__}
+def _call_outcome(fn, value):
     try:
-        stored = getattr(cls(**{**fields, field: value}), field)
+        result = fn(value)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    return f"{type(stored).__name__} {stored!r}"
+    return f"{type(result).__name__} {result!r}"
+
+
+def _outcome(cls, field, value):
+    fields = {name: 1.0 for name in cls.__dataclass_fields__}
+    return _call_outcome(lambda v: getattr(cls(**{**fields, field: v}), field), value)
 
 
 @pytest.mark.parametrize("cls", DOMAIN, ids=lambda cls: cls.__name__)
@@ -239,6 +244,66 @@ def test_phase_stores_duration_as_float(duration):
     assert phase.duration == duration
 
 
+# A `Phase` duration and `gamma`'s argument pass an exact float in range on a
+# fast path; every other input takes the full checks, as the value types do.
+PHASE_DURATION = (
+    'float 1.5',  # 1.5
+    'float 0.0',  # 0.0
+    'float -0.0',  # -0.0
+    'float 5e-324',  # 5e-324
+    'float 1.7976931348623157e+308',  # 1.7976931348623157e308
+    'ValueError: phase duration must be >= 0, got -1.0',  # -1.0
+    'ValueError: duration must be finite, got inf',  # inf
+    'ValueError: duration must be finite, got -inf',  # -inf
+    'ValueError: duration must be finite, got nan',  # nan
+    'float 3.0',  # 3
+    'float 2.5',  # np.float64(2.5)
+    'float 0.10000000149011612',  # np.float32(0.1)
+    'float 3.0',  # np.int64(3)
+    'float 1.5',  # Fraction(3, 2)
+    'ValueError: duration must be a number, not a boolean, got True',  # True
+    'ValueError: duration must be finite, got int beyond the float range',  # 10**400
+    'ValueError: duration must be finite, got int beyond the float range',  # -10**400
+    'ValueError: duration must be finite, got Fraction beyond the float range',  # Fraction(10**400)
+)
+GAMMA = (
+    'float 0.6609640474436812',  # 1.5
+    'float 0.0',  # 0.0
+    'float -0.0',  # -0.0
+    'float 0.0',  # 5e-324
+    'float 512.0',  # 1.7976931348623157e308
+    'ValueError: gamma is defined for finite x >= 0, got -1.0',  # -1.0
+    'ValueError: gamma is defined for finite x >= 0, got inf',  # inf
+    'ValueError: gamma is defined for finite x >= 0, got -inf',  # -inf
+    'ValueError: gamma is defined for finite x >= 0, got nan',  # nan
+    'float 1.0',  # 3
+    'float 0.9036774610288021',  # np.float64(2.5)
+    'float 0.06875176285214162',  # np.float32(0.1)
+    'float 1.0',  # np.int64(3)
+    'float 0.6609640474436812',  # Fraction(3, 2)
+    'ValueError: x must be a number, not a boolean, got True',  # True
+    'ValueError: x must be finite, got int beyond the float range',  # 10**400
+    'ValueError: x must be finite, got int beyond the float range',  # -10**400
+    'ValueError: x must be finite, got Fraction beyond the float range',  # Fraction(10**400)
+)
+
+
+def test_phase_duration_domain():
+    def duration(value):
+        return Phase(value, RatePair(1.0, 0.0), frozenset({1})).duration
+
+    assert tuple(_call_outcome(duration, v) for v in DOMAIN_INPUTS) == PHASE_DURATION
+
+
+def test_gamma_domain():
+    assert tuple(_call_outcome(gamma, v) for v in DOMAIN_INPUTS) == GAMMA
+    # the fast path divides by a stored log(2): the same operation, bit for bit
+    rng = np.random.default_rng(11)
+    for x in [*np.exp(rng.uniform(-700.0, 709.0, 2000)), *rng.uniform(0.0, 1e-300, 50)]:
+        x = float(x)
+        assert gamma(x) == 0.5 * math.log1p(x) / math.log(2.0), x
+
+
 # Inputs that are neither finite floats nor real numbers; each is refused
 # with a message naming the field, where `float()` used to convert or choke.
 NOT_REAL = ("3", None, 1 + 0j, np.complex128(2), Decimal("1.5"))
@@ -250,6 +315,11 @@ NOT_REAL_IDS = ("str", "None", "complex", "np.complex128", "Decimal")
 def test_value_types_refuse_non_reals(cls, bad):
     for field in cls.__dataclass_fields__:
         assert _outcome(cls, field, bad) == f"ValueError: {field} must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=NOT_REAL_IDS)
+def test_gamma_refuses_non_reals(bad):
+    assert _call_outcome(gamma, bad) == f"ValueError: x must be a real number, got {bad!r}"
 
 
 @pytest.mark.parametrize("bad", NOT_REAL, ids=NOT_REAL_IDS)

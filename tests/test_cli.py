@@ -137,6 +137,16 @@ class TestExitCodes:
         assert rc == 1
         assert "sum_rate" in err
 
+    def test_rate_overflow_exit_codes(self, capsys):
+        # tau1/d1 overflows: below user 1's solo floor, so `schedule` finds the
+        # pair infeasible, while `check` cannot report an infinite rate
+        rc, out, err = run(["schedule", *CASE_FLAGS["case_II"], "5e-324", "1"], capsys)
+        assert rc == 1 and out == ""
+        assert "single_user_1 violated by inf" in err
+        rc, out, err = run(["check", *CASE_FLAGS["case_II"], "5e-324", "1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: r1 must be finite, got inf\n"
+
     def test_verify_bracket_failure_exit_3(self, capsys, monkeypatch):
         from macct.optimize import WeightedSumSolution
 

@@ -7,8 +7,10 @@ from macct import (
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
+    InfeasibleError,
     Phase,
     RatePair,
+    Schedule,
     TrafficLoad,
     boundary_polyline,
     build_region,
@@ -28,6 +30,7 @@ from macct import (
     region_contains,
     region_description_contains,
     synthesize,
+    validate,
 )
 from refvals import (
     ABAR_I,
@@ -166,7 +169,10 @@ class TestMembership:
     def test_float_path_matches_query_objects(self):
         # `ct_contains`, `ct_slacks` and `synthesize` test (tau1/d1, tau2/d2, d1/d2)
         # on floats; each must give exactly what the `ConstrainedRateQuery` route
-        # gives, exceptions and their messages included.
+        # gives, exceptions and their messages included.  The one exception is a
+        # rate that overflows: that d_i lies below user i's solo floor, so
+        # `ct_contains` says False and `synthesize` raises InfeasibleError, where
+        # the query route (and `ct_slacks`) refuse the infinite rate.
         from macct.ctregion import ct_query
         from macct.schedule import _MIN_DURATION
 
@@ -209,22 +215,77 @@ class TestMembership:
                 # c above and below its range, c underflowing to 0, and r1 overflowing
                 pairs += [(1e13, 1.0), (1.0, 1e13), (1e-300, 1.0), (1e-300, 1e300), (5e-324, 1.0)]
                 for d in (CompletionTimePair(float(x), float(y)) for x, y in pairs):
+                    overflow = load.tau1 / d.d1 == np.inf  # only at (5e-324, 1)
                     for tol in (EPS_MEM, 0.0):
                         got = outcome(lambda: ct_contains(cfg, load, d, tol))
                         want = outcome(lambda: constrained_contains(cfg, ct_query(load, d), tol))
-                        assert got == want, (cfg, load, d, tol)
-                        seen.add(got)
-                    assert outcome(lambda: ct_slacks(cfg, load, d)) == outcome(
+                        assert got == ("False" if overflow else want), (cfg, load, d, tol)
+                        seen.add(want)
+                    slacks = outcome(lambda: ct_slacks(cfg, load, d))
+                    assert slacks == outcome(
                         lambda: constrained_slacks(cfg, ct_query(load, d))
                     ), (cfg, load, d)
-                    assert outcome(lambda: synthesize(cfg, load, d).phases) == outcome(
-                        lambda: phases_from_query(cfg, load, d)
-                    ), (cfg, load, d)
+                    seen.add(slacks)
+                    phases = outcome(lambda: synthesize(cfg, load, d).phases)
+                    if overflow:
+                        assert phases == repr((InfeasibleError, (
+                            f"rate pair (inf, {load.tau2:.6g}) at c=4.94066e-324 is "
+                            "infeasible: single_user_1 violated by inf"
+                        ))), (cfg, load, phases)
+                    else:
+                        assert phases == outcome(
+                            lambda: phases_from_query(cfg, load, d)
+                        ), (cfg, load, d)
         assert {"True", "False"} <= seen
         messages = " ".join(seen)
         for text in ("outside the well-conditioned range", "positive finite ratio",
                      "r1 must be finite"):
             assert text in messages
+
+    @pytest.mark.parametrize("d, user", [
+        ((5e-324, 1.0), 1), ((1e-310, 1e-300), 1), ((1.0, 5e-324), 2),
+    ])
+    def test_rate_overflow_is_below_the_solo_floor(self, d, user):
+        # tau_i/d_i overflows to inf: d_i lies below user i's solo floor, so the
+        # pair is outside the region, whatever c is.
+        from macct.ctregion import ct_query
+
+        cfg, load, d = ChannelConfig(3.0, 3.0), TrafficLoad(1.0, 1.0), CompletionTimePair(*d)
+        assert ct_contains(cfg, load, d) is False
+        assert ct_contains(cfg, load, d, 0.0) is False
+        with pytest.raises(InfeasibleError, match=f"single_user_{user} violated by inf"):
+            synthesize(cfg, load, d)
+        report = validate(cfg, load, Schedule((), d))
+        assert report.violations[-1].endswith("is not in the region")
+        # the slack report and the query object still refuse the infinite rate
+        for fn in (lambda: ct_slacks(cfg, load, d), lambda: ct_query(load, d)):
+            with pytest.raises(ValueError, match=f"r{user} must be finite, got inf") as err:
+                fn()
+            assert type(err.value) is ValueError
+
+    def test_rate_checks_keep_their_order(self):
+        # `_ct_rates` passes in-range values at once; otherwise r1 is checked
+        # first, then r2, then c, whichever else also fails.
+        from macct.ctregion import _ct_rates
+
+        load = TrafficLoad(1.0, 1e10)
+        cases = [
+            ((5e-324, 1e-300), "r1 must be finite, got inf"),  # r1, r2 and c (5e-24) fail
+            ((1.0, 1e-300), "r2 must be finite, got inf"),  # r2 and c (1e300) fail
+            ((1e-300, 1.0), "c=1e-300 is outside the well-conditioned range"),
+            ((1e13, 1.0), "c=10000000000000.0 is outside the well-conditioned range"),
+        ]
+        for d, message in cases:
+            with pytest.raises(ValueError, match=message) as err:
+                _ct_rates(load, CompletionTimePair(*d))
+            assert type(err.value) is ValueError
+        assert _ct_rates(load, CompletionTimePair(2.0, 4.0)) == (0.5, 2.5e9, 0.5)
+        # the solo-floor form names every overflowing rate before the c check
+        with pytest.raises(InfeasibleError, match="single_user_1 violated by inf, "
+                                                  "single_user_2 violated by inf"):
+            _ct_rates(load, CompletionTimePair(5e-324, 1e-300), solo_floor=True)
+        with pytest.raises(ValueError, match="outside the well-conditioned range"):
+            _ct_rates(load, CompletionTimePair(1e-300, 1.0), solo_floor=True)
 
     def test_scaling_law(self):
         rng = np.random.default_rng(10)

@@ -302,6 +302,49 @@ def test_phase_rejects_bad_users(users, match):
         Phase(1.0, RatePair(0.5, 0.5), users)
 
 
+def test_phase_checks_user_sets_that_are_not_its_own():
+    # `synthesize` hands `Phase` the module's own user sets, which skip the
+    # user check; an equal set built elsewhere must still take it.
+    from macct.schedule import _BOTH, _SOLO
+
+    assert frozenset({True, 2}) == _BOTH and frozenset({1.0}) == _SOLO[0]
+    with pytest.raises(ValueError, match="active user must be the int 1 or 2, got True"):
+        Phase(1.0, RatePair(0.5, 0.5), frozenset({True, 2}))
+    with pytest.raises(ValueError, match="active user must be the int 1 or 2, got 1.0"):
+        Phase(1.0, RatePair(0.5, 0.0), frozenset({1.0}))
+    phase = Phase(1.0, RatePair(0.5, 0.5), {1, 2})
+    assert type(phase.active_users) is frozenset and phase.active_users == _BOTH
+    with pytest.raises(ValueError, match="inactive user 2 must have rate 0"):
+        Phase(1.0, RatePair(0.5, 0.5), {1})
+    shared, solo = synthesize(CFG33, LOAD_II, CompletionTimePair(1.6, 1.0)).phases
+    assert shared.active_users is _BOTH and solo.active_users is _SOLO[0]
+
+
+def test_validate_adds_bits_as_bits_delivered_does(monkeypatch):
+    # From Python 3.12 `sum()` of floats is compensated, so a running sum can
+    # differ from it in the last bits; both must add the same way.  With no bit
+    # tolerance, validate flags a load that differs from `bits_delivered` at all.
+    import macct.schedule as schedule
+
+    monkeypatch.setattr(schedule, "_BIT_TOL", 0.0)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        phases = tuple(
+            Phase(float(t), RatePair(float(r1), float(r2)), frozenset({1, 2}))
+            for t, r1, r2 in zip(np.exp(rng.uniform(-20, 5, n)),
+                                 *np.exp(rng.uniform(-30, 0, (2, n))))
+        )
+        s = Schedule(phases, CompletionTimePair(1.0, 1.0))
+        bits = s.bits_delivered(1), s.bits_delivered(2)
+        report = validate(CFG33, TrafficLoad(*bits), s)
+        assert not [v for v in report.violations if "delivers" in v], bits
+        off = validate(CFG33, TrafficLoad(np.nextafter(bits[0], 2.0), bits[1]), s)
+        assert [v for v in off.violations if "delivers" in v] == [
+            f"user 1: delivers {bits[0]:.12g} bits, load is {np.nextafter(bits[0], 2.0):.12g}"
+        ]
+
+
 @pytest.mark.parametrize("rates", [(0.5, 0.5), None, 0.5])
 def test_phase_rejects_rates_that_are_not_a_rate_pair(rates):
     with pytest.raises(ValueError, match="rates must be a RatePair"):
