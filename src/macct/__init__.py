@@ -9,7 +9,6 @@ form against an independent brute-force grid oracle.
 from .capacity import (
     corner_points,
     gamma,
-    point_to_point_rate,
     region_contains,
     standard_capacity_region,
 )
@@ -34,7 +33,6 @@ from .ctregion import (
     map_rate_to_ct,
     outer_bound,
     point_c,
-    region_description_contains,
 )
 from .optimize import (
     Thresholds,
@@ -50,7 +48,6 @@ from .oracle import (
     OracleReport,
     default_grid,
     dominant_extreme_points,
-    minimax_time_by_bisection,
     oracle_minimax,
     oracle_region_equivalence,
     oracle_weighted_min,
@@ -109,7 +106,6 @@ __all__ = [
     "gamma",
     "map_rate_to_ct",
     "minimax",
-    "minimax_time_by_bisection",
     "minimize_subregion",
     "minimize_weighted_sum",
     "objective_d",
@@ -118,9 +114,7 @@ __all__ = [
     "oracle_weighted_min",
     "outer_bound",
     "point_c",
-    "point_to_point_rate",
     "region_contains",
-    "region_description_contains",
     "standard_capacity_region",
     "synthesize",
     "thresholds",

@@ -27,7 +27,6 @@ from .types import (
     HalfPlane,
     RatePair,
     _require_finite,
-    _user_index,
 )
 
 # (gamma(P1), gamma(P2), gamma(P1+P2)): the pentagon's three face levels.
@@ -59,11 +58,6 @@ def _corners(g: Gammas) -> tuple[tuple[float, float], tuple[float, float]]:
     """Corner points A and B, as plain pairs, from the `_gammas` triple."""
     g1, g2, g12 = g
     return (g12 - g2, g2), (g1, g12 - g1)
-
-
-def point_to_point_rate(cfg: ChannelConfig, user: int) -> float:
-    """Interference-free capacity gamma(P_user) of one user's link."""
-    return gamma((cfg.p1, cfg.p2)[_user_index("user", user) - 1])
 
 
 def corner_points(cfg: ChannelConfig) -> tuple[RatePair, RatePair]:

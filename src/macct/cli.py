@@ -304,7 +304,7 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
         }
     exit_code = EXIT_OK
     if args.verify:
-        spec = default_grid(cfg, load, settings["grid"])  # rejects a bad resolution first
+        spec = default_grid(cfg, load, settings["grid"])  # a bad --grid raises ValueError: exit 2
         report = (
             oracle_minimax(cfg, load, spec)
             if args.minimax

@@ -108,6 +108,11 @@ def _violations(slacks: tuple, tol: float) -> str:
     )
 
 
+def _infeasible(r1: float, r2: float, c: float, violated: str) -> InfeasibleError:
+    """The error for rate pair (r1, r2) at ratio c; `violated` names each failed constraint."""
+    return InfeasibleError(f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}")
+
+
 def constrained_contains(cfg: ChannelConfig, q: ConstrainedRateQuery, tol: float = EPS_MEM) -> bool:
     """Membership in the c-constrained region via the direct inequalities."""
     slacks = _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)
@@ -152,9 +157,7 @@ def _decompose(g: Gammas, r1: float, r2: float, c: float, tol: float) -> tuple[f
     """`decompose_rate` on floats: (shared_phase_rate, solo_phase_rate, solo_user)."""
     violated = _violations(_membership_slacks(g, r1, r2, c), tol)
     if violated:
-        raise InfeasibleError(
-            f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}"
-        )
+        raise _infeasible(r1, r2, c, violated)
     if c == 1.0:
         return r2, 0.0, 2  # both users finish together; the solo phase has zero length
     if c < 1.0:

@@ -41,13 +41,14 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-from .capacity import Gammas, _corners, _gammas, gamma, region_contains
+from .capacity import Gammas, _corners, _gammas, gamma
 from .constrained import (
     _C_MAX,
     _C_MIN,
     _NAMES,
     ConstrainedRateQuery,
     _check_ratio,
+    _infeasible,
     _membership_slacks,
 )
 from .types import (
@@ -196,9 +197,7 @@ def _ct_rates(
         violated = ", ".join(
             f"{name} violated by inf" for name, r in zip(_NAMES, (r1, r2)) if r == math.inf
         )
-        raise InfeasibleError(
-            f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}"
-        )
+        raise _infeasible(r1, r2, c, violated)
     return _require_finite("r1", r1), _require_finite("r2", r2), _check_ratio(c)
 
 
@@ -291,13 +290,6 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
             (*images, cbar) if branch == 1 else (cbar, *images),
         ))
     return RegionDescription(case, *pieces)
-
-
-def region_description_contains(
-    desc: RegionDescription, point: tuple[float, float], tol: float = EPS_MEM
-) -> bool:
-    """Union membership over the two pieces."""
-    return any(region_contains(piece, point, tol) for _, piece in desc.pieces)
 
 
 def boundary_polyline(

@@ -1,12 +1,13 @@
 """Brute-force verification of every closed form in this package.
 
 Everything here rests only on the definitional membership test
-(`ct_contains` and its vectorized twin); none of the closed-form region
-descriptions or table solutions are consulted when computing an optimum,
-so a grid search is an independent witness.  Reported optima carry an
-explicit certified gap: the objective's increase over one grid step on
-each axis.  The region is upward closed, so rounding the true optimizer
-up to the next grid point stays feasible and costs at most that much.
+(`ct_contains_grid`); none of the closed-form region descriptions or table
+solutions are consulted when computing an optimum, so a grid search is an
+independent witness.  `default_grid` reads its box off the definitional
+c = 1 constraints alone.  Reported optima carry an explicit certified gap:
+the objective's increase over one grid step on each axis.  The region is
+upward closed, so rounding the true optimizer up to the next grid point
+stays feasible and costs at most that much.
 
 Upward closure also makes each d1 column's feasible points a suffix of the
 d2 axis, so the optimum oracles bisect every column for its first one (about
@@ -25,14 +26,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-from .capacity import _gammas, gamma, region_contains, standard_capacity_region
-from .ctregion import (
-    RegionDescription,
-    build_region,
-    ct_contains,
-    ct_contains_grid,
-    point_c,
-)
+from .capacity import _gammas, region_contains, standard_capacity_region
+from .ctregion import RegionDescription, build_region, ct_contains_grid, point_c
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -46,18 +41,6 @@ from .types import (
 )
 
 _MIN_RESOLUTION = 16
-# Relative width at which the diagonal bisection stops.
-_BISECTION_REL_TOL = 1e-12
-
-
-def _check_resolution(resolution: int) -> None:
-    """Reject a grid resolution that is not an int >= _MIN_RESOLUTION."""
-    value = -1  # a non-integer stays below the minimum
-    with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
-        value = operator.index(resolution)
-    if value < _MIN_RESOLUTION:
-        raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, "
-                         f"got {resolution!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +52,12 @@ class GridSpec:
     d2_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        _check_resolution(self.resolution)
+        value = -1  # a non-integer stays below the minimum
+        with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
+            value = operator.index(self.resolution)
+        if value < _MIN_RESOLUTION:
+            raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, "
+                             f"got {self.resolution!r}")
         for name in ("d1_bounds", "d2_bounds"):
             lo, hi = (_require_finite(name, v) for v in getattr(self, name))
             if not 0.0 < lo < hi:
@@ -101,36 +89,16 @@ class OracleReport:
     certified_gap_bound: float
 
 
-def minimax_time_by_bisection(cfg: ChannelConfig, load: TrafficLoad) -> float:
-    """Smallest t with (t, t) achievable, found by bisection on `ct_contains`.
+def default_grid(cfg: ChannelConfig, load: TrafficLoad, resolution: int = 2001) -> GridSpec:
+    """Box [0.9 * min solo floor, 4 * equal-time optimum] per axis.
 
-    Used for default grid bounds so the oracle never leans on the
-    closed-form solvers.
+    At c = 1 the constrained region is the pentagon, so (t, t) is achievable
+    exactly when t >= max(tau1/g1, tau2/g2, (tau1+tau2)/g12).
     """
     g1, g2, g12 = _gammas(cfg)
-    lo = max(load.tau1 / g1, load.tau2 / g2)
-    hi = max(lo, (load.tau1 + load.tau2) / g12)
-    if ct_contains(cfg, load, CompletionTimePair(lo, lo), tol=0.0):
-        return lo
-    # Rounding can reject an upper end that sits exactly on a floor; the
-    # region is upward closed, so growing it ends in a member.
-    while not ct_contains(cfg, load, CompletionTimePair(hi, hi), tol=0.0):
-        hi += _BISECTION_REL_TOL * hi
-    while hi - lo > _BISECTION_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if ct_contains(cfg, load, CompletionTimePair(mid, mid), tol=0.0):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def default_grid(cfg: ChannelConfig, load: TrafficLoad, resolution: int = 2001) -> GridSpec:
-    """Box [0.9 * min solo floor, 4 * equal-time optimum] per axis."""
-    _check_resolution(resolution)  # fail before paying for the bisection
-    lo = 0.9 * min(load.tau1 / gamma(cfg.p1), load.tau2 / gamma(cfg.p2))
-    hi = 4.0 * minimax_time_by_bisection(cfg, load)
-    return GridSpec(resolution, (lo, hi), (lo, hi))
+    floor1, floor2 = load.tau1 / g1, load.tau2 / g2
+    box = 0.9 * min(floor1, floor2), 4.0 * max(floor1, floor2, (load.tau1 + load.tau2) / g12)
+    return GridSpec(resolution, box, box)
 
 
 def oracle_weighted_min(

@@ -25,7 +25,6 @@ from macct import (
     TrafficLoad,
     ct_contains,
     gamma,
-    minimax_time_by_bisection,
 )
 
 G6 = 1.4036774610288021          # gamma(6) = 0.5*log2(7)
@@ -90,9 +89,15 @@ def sample_members(
     count: int,
     side: str | None = None,
 ) -> list[CompletionTimePair]:
-    """Rejection-sample feasible pairs, optionally restricted to one piece."""
-    lo = 0.95 * min(load.tau1 / gamma(cfg.p1), load.tau2 / gamma(cfg.p2))
-    hi = 3.0 * minimax_time_by_bisection(cfg, load)
+    """Rejection-sample feasible pairs, optionally restricted to one piece.
+
+    The box runs from 0.95 * the smaller solo floor to 3 * the equal-time
+    optimum, which the c = 1 constraints give as
+    max(tau1/g1, tau2/g2, (tau1+tau2)/g12).
+    """
+    g1, g2, g12 = gamma(cfg.p1), gamma(cfg.p2), gamma(cfg.p1 + cfg.p2)
+    lo = 0.95 * min(load.tau1 / g1, load.tau2 / g2)
+    hi = 3.0 * max(load.tau1 / g1, load.tau2 / g2, (load.tau1 + load.tau2) / g12)
     out: list[CompletionTimePair] = []
     while len(out) < count:
         d1 = float(rng.uniform(lo, hi))

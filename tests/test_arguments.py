@@ -30,7 +30,6 @@ from macct import (
     minimize_weighted_sum,
     objective_d,
     oracle_weighted_min,
-    point_to_point_rate,
     synthesize,
 )
 from refvals import A_33, CFG33, LOAD_II
@@ -39,7 +38,6 @@ R = RatePair(*A_33)
 SCHEDULE = synthesize(CFG33, LOAD_II, CompletionTimePair(1.6, 1.0))
 
 INDEX_TAKERS = {
-    "point_to_point_rate": lambda k: point_to_point_rate(CFG33, k),
     "Schedule.bits_delivered": lambda k: SCHEDULE.bits_delivered(k),
     "map_rate_to_ct": lambda k: map_rate_to_ct(CFG33, LOAD_II, k, R),
     "objective_d": lambda k: objective_d(CFG33, LOAD_II, k, 0.3, R),
@@ -233,6 +231,12 @@ def test_value_type_domain(cls):
     for field in (first, *others):
         expected = tuple(row.replace(f": {first} ", f": {field} ") for row in DOMAIN[cls])
         assert tuple(_outcome(cls, field, v) for v in DOMAIN_INPUTS) == expected, field
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.0, 0.0), (0, Fraction(0))])
+def test_half_plane_refuses_zero_normal(a, b):
+    with pytest.raises(ValueError, match=r"^half-plane normal \(a, b\) must be nonzero$"):
+        HalfPlane(a, b, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from macct import (
     ChannelConfig,
     corner_points,
     gamma,
-    point_to_point_rate,
     region_contains,
     standard_capacity_region,
 )
@@ -39,19 +38,6 @@ class TestGamma:
     def test_concave(self, x, y):
         mid = gamma((x + y) / 2.0)
         assert mid >= (gamma(x) + gamma(y)) / 2.0 - EPS_MEM
-
-
-class TestPointToPoint:
-    def test_values(self):
-        assert point_to_point_rate(CFG33, 1) == 1.0
-        assert point_to_point_rate(ChannelConfig(3, 6), 2) == pytest.approx(
-            1.4036774610288021, abs=1e-12
-        )
-        assert point_to_point_rate(ChannelConfig(1, 3), 1) == 0.5
-
-    def test_bad_user(self):
-        with pytest.raises(ValueError):
-            point_to_point_rate(CFG33, 3)
 
 
 class TestPentagon:

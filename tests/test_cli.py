@@ -183,6 +183,24 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err == f"error: grid resolution must be an int >= 16, got {shown}\n"
 
+    @pytest.mark.parametrize("tol", ["-1", "1"])
+    def test_tol_out_of_range_exit_2(self, tol, capsys):
+        rc, out, err = run(["check", *CASE_FLAGS["case_II"], "--tol", tol, "3", "3"], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: tol: must be a small nonnegative number, got {float(tol)!r}\n"
+
+    def test_failed_validation_exit_3_lists_violations(self, capsys, monkeypatch):
+        from macct.schedule import ValidationReport
+
+        monkeypatch.setattr(
+            cli, "validate", lambda *args: ValidationReport(False, ("achieved pair differs",))
+        )
+        rc, out, _ = run(["schedule", *CASE_FLAGS["case_II"], "1.5", "1.5"], capsys)
+        assert rc == 3
+        doc = json.loads(out)
+        assert doc["validation"] == "fail"
+        assert doc["violations"] == ["achieved pair differs"]
+
     def test_verify_passes_for_true_solution(self, capsys):
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2", "--verify",
                 "--grid", "301"]
@@ -209,6 +227,13 @@ class TestScenarioHandling:
         scenario.write_text(json.dumps({"p1": 3, "p2": 3, "tau1": 1, "tau2": 1, "pow": 9}))
         rc, _, err = run(["region", "--scenario", str(scenario)], capsys)
         assert rc == 2 and "pow" in err
+
+    def test_scenario_file_holding_a_list_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps([3, 3, 1, 1]))
+        rc, out, err = run(["region", "--scenario", str(scenario)], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: scenario file {scenario}: expected a JSON object\n"
 
     def test_missing_scenario_file(self, capsys):
         rc, _, err = run(["region", "--scenario", "/nonexistent.json"], capsys)

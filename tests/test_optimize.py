@@ -9,6 +9,7 @@ from macct import (
     Case,
     ChannelConfig,
     CompletionTimePair,
+    ConsistencyError,
     RatePair,
     TrafficLoad,
     classify_case,
@@ -317,6 +318,22 @@ def test_case_boundary_instances_self_check():
     for w in (0.0, 0.3, 0.7, 1.0):
         out = minimize_weighted_sum(CFG33, load, w)
         assert ct_contains(CFG33, load, out.optimizer_point)
+
+
+def test_case_boundary_disagreement_raises(monkeypatch):
+    import macct.optimize as optimize
+
+    exact = optimize._minimax_value
+
+    def perturbed(g, load, case):  # Case II's formula, off by one part in a million
+        value = exact(g, load, case)
+        return value * (1.0 + 1e-6) if case is Case.II else value
+
+    monkeypatch.setattr(optimize, "_minimax_value", perturbed)
+    g1, g12 = gamma(3.0), gamma(6.0)
+    assert minimax(CFG33, LOAD_I)[0] == pytest.approx(CBAR_I, rel=1e-12)  # off every boundary
+    with pytest.raises(ConsistencyError, match="disagrees across the case boundary"):
+        minimax(CFG33, TrafficLoad(g1, g12 - g1))  # on the I/II boundary
 
 
 def _random_branch_point(rng, cfg, load, branch):

@@ -17,7 +17,6 @@ from macct import (
     gamma,
     map_rate_to_ct,
     minimax,
-    minimax_time_by_bisection,
     minimize_weighted_sum,
     objective_d,
     oracle_minimax,
@@ -50,32 +49,35 @@ def test_grid_spec_validation():
     assert spec.steps() == (0.01, 0.02)
 
 
-def test_default_grid_checks_resolution_before_bisection(monkeypatch):
-    import macct.oracle as oracle
-
-    def no_bisection(cfg, load):
-        raise AssertionError("the bisection ran before the resolution check")
-
-    monkeypatch.setattr(oracle, "minimax_time_by_bisection", no_bisection)
+def test_default_grid_rejects_bad_resolution():
     with pytest.raises(ValueError, match=r"^grid resolution must be an int >= 16, got 8$"):
         default_grid(CFG33, LOAD_II, 8)
 
 
-def test_bisection_matches_reference_minimax():
-    assert minimax_time_by_bisection(CFG33, LOAD_II) == pytest.approx(CBAR_II, rel=1e-11)
-    assert minimax_time_by_bisection(CFG33, LOAD_I) == pytest.approx(1.0, rel=1e-11)
-    assert minimax_time_by_bisection(CFG33, LOAD_III) == pytest.approx(1.0, rel=1e-11)
+@pytest.mark.parametrize("p_range, tau_range", [
+    ((-2.0, 4.0), (-2.0, 2.0)),
+    ((-4.0, 6.0), (-4.0, 4.0)),
+    ((-8.0, 8.0), (-6.0, 6.0)),
+], ids=["moderate", "edge", "wide"])
+def test_box_upper_end_is_four_times_closed_form_minimax(p_range, tau_range):
+    # The box reads only the c = 1 constraints; the closed form goes through
+    # the load's case and point C, so the two agree without sharing code.
+    rng = np.random.default_rng(1109)
+    for _ in range(300):
+        p1, p2 = 10.0 ** rng.uniform(*p_range, size=2)
+        tau1, tau2 = 10.0 ** rng.uniform(*tau_range, size=2)
+        cfg, load = ChannelConfig(p1, p2), TrafficLoad(tau1, tau2)
+        upper = default_grid(cfg, load, 16).d1_bounds[1]
+        assert upper / 4.0 == pytest.approx(minimax(cfg, load)[0], rel=1e-12), (cfg, load)
 
 
-def test_bisection_accepts_upper_end_on_a_floor():
-    # Case I: the upper end (hi, hi) sits exactly on user 1's floor, where
-    # rounding makes the tolerance-0 membership test reject it.
+def test_minimax_bracket_with_optimum_on_a_floor():
+    # Case I: the equal-time optimum sits exactly on user 1's solo floor.
     cfg = ChannelConfig(0.30597715498153716, 2.2166555817702642)
     load = TrafficLoad(30.597637599108623, 0.021005121830250433)
-    t = minimax_time_by_bisection(cfg, load)
-    assert ct_contains(cfg, load, CompletionTimePair(t, t), tol=0.0)
-    assert t == pytest.approx(158.89525391144966, rel=1e-11)
-    report = oracle_minimax(cfg, load, default_grid(cfg, load, 201))
+    spec = default_grid(cfg, load, 201)
+    assert spec.d1_bounds[1] == 4.0 * (load.tau1 / gamma(cfg.p1))
+    report = oracle_minimax(cfg, load, spec)
     assert report.optimum_value - report.certified_gap_bound <= 158.89525391144966
     assert 158.89525391144966 <= report.optimum_value + 1e-9
 
