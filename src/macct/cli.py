@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from typing import Any
 
 from .constrained import constrained_slacks
 from .ctregion import (
@@ -37,6 +36,10 @@ from .types import (
     InfeasibleError,
     TrafficLoad,
 )
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING: `typing` costs each run its import
+if TYPE_CHECKING:
+    from typing import Any
 
 SCHEMA_VERSION = 1
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -82,6 +82,9 @@ _PIECE_CORNERS: dict[Case, tuple[str, str]] = {
     Case.III: ("BA", ""),
 }
 
+# The ordering constraints d1 <= d2 of D1 and d1 >= d2 of D2.
+_ORDER = (HalfPlane(-1.0, 1.0, 0.0), HalfPlane(1.0, -1.0, 0.0))
+
 
 @dataclass(frozen=True, slots=True)
 class RegionDescription:
@@ -102,30 +105,19 @@ class RegionDescription:
 
 def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
     """Locate point C by the load ratio; ties go to Case I / Case III."""
-    return _classify(_gammas(cfg), load)
+    return _cases(_gammas(cfg), load)[0]
 
 
-def _case_boundaries(g: Gammas, load: TrafficLoad) -> tuple[tuple[float, float], ...]:
-    """Both sides of tau2/tau1 <= (g12-g1)/g1 and of >= g2/(g12-g2), cross-multiplied."""
+def _cases(g: Gammas, load: TrafficLoad) -> tuple[Case, Case | None]:
+    """The load's case, and Case II as the adjacent case when the load is on a boundary."""
     g1, g2, g12 = g
-    return (load.tau2 * g1, load.tau1 * (g12 - g1)), (load.tau2 * (g12 - g2), load.tau1 * g2)
-
-
-def _classify(g: Gammas, load: TrafficLoad) -> Case:
-    (lhs1, rhs1), (lhs3, rhs3) = _case_boundaries(g, load)
-    if lhs1 <= rhs1:
-        return Case.I
-    if lhs3 >= rhs3:
-        return Case.III
-    return Case.II
-
-
-def _adjacent_case(g: Gammas, load: TrafficLoad) -> Case | None:
-    """Case II when the load ratio sits exactly on a classification boundary."""
-    for lhs, rhs in _case_boundaries(g, load):
-        if abs(lhs - rhs) <= _BOUNDARY_REL_TOL * max(lhs, rhs):
-            return Case.II
-    return None
+    # Case I when tau2/tau1 <= (g12-g1)/g1, Case III when >= g2/(g12-g2), cross-multiplied.
+    lhs1, rhs1 = load.tau2 * g1, load.tau1 * (g12 - g1)
+    lhs3, rhs3 = load.tau2 * (g12 - g2), load.tau1 * g2
+    case = Case.I if lhs1 <= rhs1 else Case.III if lhs3 >= rhs3 else Case.II
+    on_boundary = (abs(lhs1 - rhs1) <= _BOUNDARY_REL_TOL * max(lhs1, rhs1)
+                   or abs(lhs3 - rhs3) <= _BOUNDARY_REL_TOL * max(lhs3, rhs3))
+    return case, Case.II if on_boundary else None
 
 
 def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> RatePair:
@@ -136,7 +128,7 @@ def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> 
     boundaries, which case-boundary consistency checks exploit.
     """
     g = _gammas(cfg)
-    return RatePair(*_point_c(g, load, _classify(g, load) if case is None else case))
+    return RatePair(*_point_c(g, load, _cases(g, load)[0] if case is None else case))
 
 
 def _point_c(g: Gammas, load: TrafficLoad, case: Case) -> tuple[float, float]:
@@ -164,15 +156,15 @@ def map_rate_to_ct(
 def _map_rate_to_ct(
     g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float]
 ) -> CompletionTimePair:
-    early = _user_index("branch", branch) - 1  # the other user then finishes alone
-    late = 1 - early
-    tau = load.tau1, load.tau2
-    if r[early] <= 0.0:
+    early = branch if type(branch) is int and 0 < branch < 3 else _user_index("branch", branch)
+    if r[early - 1] <= 0.0:
         raise ValueError(f"branch {branch} needs r{branch} > 0 (it divides by r{branch})")
-    d = [0.0, 0.0]
-    d[early] = tau[early] / r[early]
-    d[late] = tau[late] / g[late] + (g[late] - r[late]) * tau[early] / (g[late] * r[early])
-    return CompletionTimePair(*d)
+    (r1, r2), tau1, tau2 = r, load.tau1, load.tau2
+    if early == 1:
+        g2 = g[1]
+        return CompletionTimePair(tau1 / r1, tau2 / g2 + (g2 - r2) * tau1 / (g2 * r1))
+    g1 = g[0]
+    return CompletionTimePair(tau1 / g1 + (g1 - r1) * tau2 / (g1 * r2), tau2 / r2)
 
 
 def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:
@@ -239,18 +231,24 @@ def ct_contains_grid(
 
 def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:
     """Quadrant bound: no user beats its interference-free completion time."""
-    lo1 = load.tau1 / gamma(cfg.p1)
-    lo2 = load.tau2 / gamma(cfg.p2)
-    return ConvexPiece(
-        halfplanes=(HalfPlane(1.0, 0.0, lo1), HalfPlane(0.0, 1.0, lo2)),
-        vertices=(("corner", (lo1, lo2)),),
-    )
+    floors = _floors(load, gamma(cfg.p1), gamma(cfg.p2))
+    return ConvexPiece(floors, (("corner", (floors[0].c, floors[1].c)),))
+
+
+def _floors(load: TrafficLoad, g1: float, g2: float) -> tuple[HalfPlane, HalfPlane]:
+    """The solo floors d_i >= tau_i/gamma(P_i), given gamma(P1) and gamma(P2)."""
+    return HalfPlane(1.0, 0.0, load.tau1 / g1), HalfPlane(0.0, 1.0, load.tau2 / g2)
 
 
 def equal_time_vertex(cfg: ChannelConfig, load: TrafficLoad) -> CompletionTimePair:
     """Cbar: image of point C, the boundary point with d1 = d2."""
     g = _gammas(cfg)
-    c = _point_c(g, load, _classify(g, load))
+    return _equal_time_vertex(g, load, _cases(g, load)[0])
+
+
+def _equal_time_vertex(g: Gammas, load: TrafficLoad, case: Case) -> CompletionTimePair:
+    """`equal_time_vertex` given the `_gammas` triple and the load's case."""
+    c = _point_c(g, load, case)
     d = _map_rate_to_ct(g, load, 1, c)
     # Both map branches coincide on the demand ray; pin exact equality.
     t = load.tau1 / c[0]
@@ -262,24 +260,26 @@ def equal_time_vertex(cfg: ChannelConfig, load: TrafficLoad) -> CompletionTimePa
 def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     """Half-plane description of both pieces with labeled corner vertices.
 
-    Each piece carries the two solo floors and its ordering constraint, and
-    its sum constraint exactly when it holds a pentagon corner (see
-    `_PIECE_CORNERS`); otherwise that constraint is implied by the rest.
-    Union membership agrees with `ct_contains`.
+    Each piece carries the two solo floors, its ordering constraint (a module
+    constant), and its sum constraint exactly when it holds a pentagon corner
+    (see `_PIECE_CORNERS`); otherwise that constraint is implied by the rest.
+    One `_gammas` triple and its case give the corners, Cbar (as
+    `equal_time_vertex`) and the floors (as `outer_bound`).  Union membership
+    agrees with `ct_contains`.
     """
     g = _gammas(cfg)
-    case = _classify(g, load)
+    case = _cases(g, load)[0]
     a, b = _corners(g)
     corners = {"A": a, "B": b}
-    cbar = ("Cbar", equal_time_vertex(cfg, load).as_tuple())
-    floor1, floor2 = outer_bound(cfg, load).halfplanes
+    cbar = ("Cbar", _equal_time_vertex(g, load, case).as_tuple())
+    floor1, floor2 = _floors(load, g[0], g[1])
     pieces = []
     # D1 (d1 <= d2) maps its corners on branch 1 and its sum normal is A; D2
     # (d1 >= d2) maps on branch 2 and its normal is B.  In boundary order Cbar
     # ends D1 and starts D2.
     for branch, held, normal, order, suffix in (
-        (1, _PIECE_CORNERS[case][0], a, HalfPlane(-1.0, 1.0, 0.0), "bar'"),
-        (2, _PIECE_CORNERS[case][1], b, HalfPlane(1.0, -1.0, 0.0), "bar"),
+        (1, _PIECE_CORNERS[case][0], a, _ORDER[0], "bar'"),
+        (2, _PIECE_CORNERS[case][1], b, _ORDER[1], "bar"),
     ):
         images = [
             (x + suffix, _map_rate_to_ct(g, load, branch, corners[x]).as_tuple()) for x in held

@@ -30,11 +30,10 @@ from .capacity import Gammas, _corners, _gammas, gamma
 from .ctregion import (
     _PIECE_CORNERS,
     Case,
-    _adjacent_case,
-    _classify,
+    _cases,
+    _equal_time_vertex,
     _map_rate_to_ct,
     _point_c,
-    equal_time_vertex,
 )
 from .types import (
     ChannelConfig,
@@ -131,7 +130,7 @@ def minimize_subregion(
     return _cross_checked(
         "sub-region minimum", cfg, load, _OPTIMAL_VALUE,
         lambda g, load, case: _solve(g, load, w, case, _SUBREGION_ROWS[branch, case]),
-    )
+    )[0]
 
 
 def minimize_weighted_sum(cfg: ChannelConfig, load: TrafficLoad, w: float) -> WeightedSumSolution:
@@ -140,13 +139,16 @@ def minimize_weighted_sum(cfg: ChannelConfig, load: TrafficLoad, w: float) -> We
     return _cross_checked(
         "weighted-sum minimum", cfg, load, _OPTIMAL_VALUE,
         lambda g, load, case: _solve(g, load, w, case, _FULL_ROWS[case]),
-    )
+    )[0]
 
 
 def minimax(cfg: ChannelConfig, load: TrafficLoad) -> tuple[float, CompletionTimePair]:
-    """Smallest achievable max(d1, d2), attained at the equal-time vertex."""
-    value = _cross_checked("minimax value", cfg, load, float, _minimax_value)
-    return value, equal_time_vertex(cfg, load)
+    """Smallest achievable max(d1, d2), attained at the equal-time vertex.
+
+    The vertex comes from the `_gammas` triple and the case that gave the value.
+    """
+    value, g, case = _cross_checked("minimax value", cfg, load, float, _minimax_value)
+    return value, _equal_time_vertex(g, load, case)
 
 
 def _minimax_value(g: Gammas, load: TrafficLoad, case: Case) -> float:
@@ -156,21 +158,22 @@ def _minimax_value(g: Gammas, load: TrafficLoad, case: Case) -> float:
 def _cross_checked(
     what: str, cfg: ChannelConfig, load: TrafficLoad, value: Callable, solve: Callable
 ):
-    """solve(gammas, load, case) for the load's case.
+    """(solve(g, load, case), g, case) for the `_gammas` triple g and the load's case.
 
-    On a classification boundary the adjacent case's formulas hold as well,
-    so its solution must have the same value.
+    One `_cases` pass gives the case and the adjacent case.  On a
+    classification boundary the adjacent case's formulas hold as well, so
+    its solution must have the same value.
     """
     g = _gammas(cfg)
-    solution = solve(g, load, _classify(g, load))
-    adjacent = _adjacent_case(g, load)
+    case, adjacent = _cases(g, load)
+    solution = solve(g, load, case)
     if adjacent is not None:
         primary, alternate = value(solution), value(solve(g, load, adjacent))
         if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * max(1.0, abs(primary)):
             raise ConsistencyError(
                 f"{what} disagrees across the case boundary: {primary!r} vs {alternate!r}"
             )
-    return solution
+    return solution, g, case
 
 
 def _solve(g: Gammas, load: TrafficLoad, w: float, case: Case, row) -> WeightedSumSolution:

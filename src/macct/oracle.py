@@ -21,8 +21,8 @@ import contextlib
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -103,6 +103,9 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+_VALID = ValidationReport(True, ())  # the one report of every schedule that passes
+
+
 def synthesize(
     cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair, tol: float = EPS_MEM
 ) -> Schedule:
@@ -219,4 +222,4 @@ def validate(
         violations.append(
             f"achieved pair ({s.achieved.d1:.6g}, {s.achieved.d2:.6g}) is not in the region"
         )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID

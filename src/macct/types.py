@@ -12,6 +12,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+_INF = math.inf  # a global name, read faster than math.inf in every __post_init__
+
 # Absolute tolerance on constraint slack used by every membership test.  It
 # is sound on the domain the tests and the gated benchmark cover, powers in
 # [1e-2, 1e4] and loads in [1e-2, 1e2].  It is not well conditioned beyond
@@ -53,12 +55,10 @@ def _require_finite(name: str, value: float) -> float:
 def _require_fields(obj, names: tuple[str, ...], floor: float, rule: str = "") -> None:
     """Each named field of frozen obj must be a finite float above floor; `rule` words the floor."""
     for name in names:
-        value = getattr(obj, name)
-        if type(value) is not float or not floor < value < math.inf:  # exact floats in range pass
-            value = _require_finite(name, value)  # converted and stored back as a float
-            if not value > floor:
-                raise ValueError(f"{name} must be {rule}, got {value}")
-            object.__setattr__(obj, name, value)
+        value = _require_finite(name, getattr(obj, name))  # stored back as an exact float
+        if not value > floor:
+            raise ValueError(f"{name} must be {rule}, got {value}")
+        object.__setattr__(obj, name, value)
 
 
 def _user_index(name: str, value: int) -> int:
@@ -90,7 +90,9 @@ class ChannelConfig:
     p2: float
 
     def __post_init__(self) -> None:
-        _require_fields(self, ("p1", "p2"), 0.0, "> 0 (zero power never completes)")
+        p1, p2 = self.p1, self.p2
+        if not (type(p1) is type(p2) is float and 0.0 < p1 < _INF and 0.0 < p2 < _INF):
+            _require_fields(self, ("p1", "p2"), 0.0, "> 0 (zero power never completes)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +108,9 @@ class RatePair:
     r2: float
 
     def __post_init__(self) -> None:
-        _require_fields(self, ("r1", "r2"), -5e-324, ">= 0")  # for a float, > -5e-324 is >= 0
+        r1, r2 = self.r1, self.r2  # for a float, > -5e-324 is >= 0, -0.0 included
+        if not (type(r1) is type(r2) is float and -5e-324 < r1 < _INF and -5e-324 < r2 < _INF):
+            _require_fields(self, ("r1", "r2"), -5e-324, ">= 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.r1, self.r2)
@@ -120,7 +124,9 @@ class TrafficLoad:
     tau2: float
 
     def __post_init__(self) -> None:
-        _require_fields(self, ("tau1", "tau2"), 0.0, "> 0")
+        tau1, tau2 = self.tau1, self.tau2
+        if not (type(tau1) is type(tau2) is float and 0.0 < tau1 < _INF and 0.0 < tau2 < _INF):
+            _require_fields(self, ("tau1", "tau2"), 0.0, "> 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +137,9 @@ class CompletionTimePair:
     d2: float
 
     def __post_init__(self) -> None:
-        _require_fields(self, ("d1", "d2"), 0.0, "> 0")
+        d1, d2 = self.d1, self.d2
+        if not (type(d1) is type(d2) is float and 0.0 < d1 < _INF and 0.0 < d2 < _INF):
+            _require_fields(self, ("d1", "d2"), 0.0, "> 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.d1, self.d2)
@@ -146,7 +154,10 @@ class HalfPlane:
     c: float
 
     def __post_init__(self) -> None:
-        _require_fields(self, ("a", "b", "c"), -math.inf)
+        a, b, c = self.a, self.b, self.c
+        if not (type(a) is type(b) is type(c) is float
+                and -_INF < a < _INF and -_INF < b < _INF and -_INF < c < _INF):
+            _require_fields(self, ("a", "b", "c"), -_INF)
         if self.a == 0.0 and self.b == 0.0:
             raise ValueError("half-plane normal (a, b) must be nonzero")
 

@@ -341,6 +341,39 @@ class TestLazyNumpy:
         assert probe(argv) == {"rc": 0, "numpy": True}
 
 
+_TYPING_PROBE = """
+import contextlib, io, json, sys
+import macct, macct.cli
+rc = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = macct.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "typing": "typing" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["region", *CASE_FLAGS["case_II"]],
+        ["region", *CASE_FLAGS["case_II"], "--csv"],
+        ["check", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"],
+        ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2"],
+        ["minimize", *CASE_FLAGS["case_II"], "--minimax"],
+        ["schedule", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"],
+    ],
+    ids=["import", "region", "region_csv", "check", "weight", "minimax", "schedule"],
+)
+def test_scalar_paths_do_not_import_typing(argv):
+    # -S: no `site`, which may import typing itself before any macct code runs.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", _TYPING_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"rc": None if not argv else 0, "typing": False}
+
+
 class TestRoundTrip:
     def test_region_json_membership_matches_library(self, capsys):
         rc, out, _ = run(["region", *CASE_FLAGS["case_II"]], capsys)

@@ -12,17 +12,20 @@ from macct import (
     ConsistencyError,
     RatePair,
     TrafficLoad,
+    build_region,
     classify_case,
     corner_points,
     ct_contains,
     ct_contains_grid,
     ct_slacks,
+    equal_time_vertex,
     gamma,
     map_rate_to_ct,
     minimax,
     minimize_subregion,
     minimize_weighted_sum,
     objective_d,
+    outer_bound,
     point_c,
     thresholds,
 )
@@ -358,3 +361,60 @@ def _random_branch_point(rng, cfg, load, branch):
     else:
         r2 = max(r2, 1e-6)
     return RatePair(r1, r2)
+
+
+def _seeded_instances(count=40, seed=12):
+    """Log-uniform instances of every case, each also with its load moved exactly
+    onto the I/II and the II/III boundary."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for p1, p2, tau1, tau2 in np.exp(rng.uniform(np.log(1e-2), np.log(1e2), (count, 4))):
+        cfg = ChannelConfig(float(p1 * 100.0), float(p2 * 100.0))
+        g1, g2, g12 = gamma(cfg.p1), gamma(cfg.p2), gamma(cfg.p1 + cfg.p2)
+        tau1 = float(tau1)
+        for load in (TrafficLoad(tau1, float(tau2)), TrafficLoad(tau1, tau1 * (g12 - g1) / g1),
+                     TrafficLoad(tau1, tau1 * g2 / (g12 - g2))):
+            instances.append((cfg, load))
+    return instances
+
+
+class TestOneDerivationPerCall:
+    """Each closed-form call derives its gamma triple and case once and reads
+    every other fact of the instance from them."""
+
+    @pytest.fixture
+    def gamma_calls(self, monkeypatch):
+        import macct.capacity as capacity
+        import macct.ctregion as ctregion
+        import macct.optimize as optimize
+
+        calls = []
+        real = capacity.gamma
+        for module in (capacity, ctregion, optimize):
+            monkeypatch.setattr(module, "gamma", lambda x: calls.append(x) or real(x))
+        return calls
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            partial(build_region, CFG33, LOAD_II),
+            partial(minimax, CFG33, LOAD_II),
+            partial(minimize_weighted_sum, CFG33, LOAD_II, 0.2),
+        ],
+        ids=["build_region", "minimax", "minimize_weighted_sum"],
+    )
+    def test_one_gamma_triple_per_call(self, gamma_calls, call):
+        call()
+        assert len(gamma_calls) == 3
+
+    def test_instances_cover_every_case(self):
+        assert {classify_case(cfg, load) for cfg, load in _seeded_instances()} == set(Case)
+
+    @pytest.mark.parametrize("cfg, load", _seeded_instances())
+    def test_parts_equal_their_standalone_derivations(self, cfg, load):
+        cbar = equal_time_vertex(cfg, load)
+        floors = outer_bound(cfg, load).halfplanes
+        desc = build_region(cfg, load)
+        assert desc.piece_d1.vertices[-1] == desc.piece_d2.vertices[0] == ("Cbar", cbar.as_tuple())
+        assert desc.piece_d1.halfplanes[:2] == desc.piece_d2.halfplanes[:2] == floors
+        assert minimax(cfg, load)[1] == cbar

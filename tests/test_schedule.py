@@ -9,6 +9,7 @@ from macct import (
     RatePair,
     Schedule,
     TrafficLoad,
+    ValidationReport,
     build_region,
     compose,
     ct_contains,
@@ -264,6 +265,12 @@ class TestValidate:
         monkeypatch.setattr(capacity, "gamma", lambda x: calls.append(x) or real(x))
         assert validate(CFG33, LOAD_II, s).ok
         assert len(calls) == 3
+
+    def test_passing_reports_are_one_shared_object(self):
+        reports = [validate(CFG33, LOAD_II, synthesize(CFG33, LOAD_II, CompletionTimePair(*d)))
+                   for d in (ABAR_II, (2.0, 3.0))]
+        assert reports[0] == ValidationReport(True, ())
+        assert reports[0] is reports[1]
 
     def test_deadline_mismatch_detected(self):
         d = CompletionTimePair(*ABAR_II)
