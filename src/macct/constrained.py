@@ -16,8 +16,9 @@ finisher's rate onto the shared interval and clamping at zero:
     c < 1:  (R1, [R2/c - (1/c-1)*gamma(P2)]+)  in pentagon
     c > 1:  ([c*R1 - (c-1)*gamma(P1)]+, R2)    in pentagon
 
-The direct inequalities are the canonical membership test here (no
-division by small c); the clamp transform is kept for cross-validation.
+The direct inequalities are the membership test of this rate-space view;
+the clamp transform is kept for cross-validation.  `ctregion` tests each
+inequality times its rate's block length, with no c and no division.
 """
 
 from __future__ import annotations
@@ -45,17 +46,12 @@ class ConstrainedRateQuery:
     c: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _check_ratio(self.c))
-
-
-def _check_ratio(c: float) -> float:
-    """c as a float inside the well-conditioned range [_C_MIN, _C_MAX]."""
-    c = _require_finite("c", c)
-    if c <= 0.0:
-        raise ValueError(f"c must be a positive finite ratio, got {c!r}")
-    if not _C_MIN <= c <= _C_MAX:
-        raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
-    return c
+        c = _require_finite("c", self.c)
+        if c <= 0.0:
+            raise ValueError(f"c must be a positive finite ratio, got {c!r}")
+        if not _C_MIN <= c <= _C_MAX:
+            raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,22 +73,16 @@ def constrained_slacks(cfg: ChannelConfig, q: ConstrainedRateQuery) -> dict[str,
     return dict(zip(_NAMES, _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)))
 
 
-def _membership_slacks(g: Gammas, r1, r2, c) -> tuple:
+def _membership_slacks(g: Gammas, r1: float, r2: float, c: float) -> tuple[float, float, float]:
     """Slacks of the single-user 1, single-user 2 and sum-rate inequalities.
 
-    g is the `_gammas` triple.  The rates and c are floats, or broadcastable
-    ndarrays evaluated elementwise.  Only the array branch loads numpy, so
-    the scalar callers never pay its import.
+    g is the `_gammas` triple; the rates and c are floats (numpy scalars pass).
     """
     g1, g2, g12 = g
-    late_1 = (c - 1.0) * g1 + g12 - (c * r1 + r2)        # c >= 1: user 1 finishes last
-    late_2 = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)  # c < 1: user 2 finishes last
-    if isinstance(c, float):  # np.float64 subclasses float and lands here too
-        sum_slack = late_1 if c >= 1.0 else late_2
-    else:
-        import numpy as np
-
-        sum_slack = np.where(c >= 1.0, late_1, late_2)
+    if c >= 1.0:  # user 1 finishes last
+        sum_slack = (c - 1.0) * g1 + g12 - (c * r1 + r2)
+    else:  # user 2 finishes last
+        sum_slack = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)
     return g1 - r1, g2 - r2, sum_slack
 
 
@@ -144,24 +134,33 @@ def decompose_rate(
 
     The solo-phase rate is maximal: min(point-to-point capacity, the rate
     that ships every bit in the solo phase alone).  That convention frees
-    the channel of multi-user interference as early as possible and makes
-    the shared-phase pair sit exactly on the clamp-transform image.
+    the channel of multi-user interference as early as possible and puts
+    the shared-phase pair on the clamp-transform image; when the solo phase
+    alone ships every bit, the shared-phase rate is exactly 0.0.
 
     Raises InfeasibleError (naming the violated constraint) when the query
     is outside the c-constrained region.
     """
-    return RateDecomposition(*_decompose(_gammas(cfg), q.rates.r1, q.rates.r2, q.c, tol))
-
-
-def _decompose(g: Gammas, r1: float, r2: float, c: float, tol: float) -> tuple[float, float, int]:
-    """`decompose_rate` on floats: (shared_phase_rate, solo_phase_rate, solo_user)."""
+    g, r1, r2, c = _gammas(cfg), q.rates.r1, q.rates.r2, q.c
     violated = _violations(_membership_slacks(g, r1, r2, c), tol)
     if violated:
         raise _infeasible(r1, r2, c, violated)
-    if c == 1.0:
-        return r2, 0.0, 2  # both users finish together; the solo phase has zero length
-    if c < 1.0:
-        solo = min(g[1], r2 / (1.0 - c))
-        return max(0.0, (r2 - (1.0 - c) * solo) / c), solo, 2
-    solo = min(g[0], r1 / (1.0 - 1.0 / c))
-    return max(0.0, c * r1 - (c - 1.0) * solo), solo, 1
+    # In units of user 2's codeword length, user 1's codeword ends at c.
+    if c <= 1.0:  # user 2 finishes last, or both together
+        return RateDecomposition(*_split(r2, c, 1.0, g[1]), 2)
+    return RateDecomposition(*_split(c * r1, 1.0, c, g[0]), 1)
+
+
+def _split(bits: float, early: float, late: float, g_late: float) -> tuple[float, float]:
+    """The late finisher's rates (shared, solo) over [0, early] and [early, late] for `bits`.
+
+    The solo phase runs as fast as it may, at most g_late: when it alone
+    carries the bits the shared rate is 0.0.  Without one the solo rate is 0.0.
+    """
+    solo_time = late - early
+    if solo_time == 0.0:
+        return bits / early, 0.0
+    solo = bits / solo_time
+    if solo <= g_late:
+        return 0.0, solo
+    return max(0.0, g_late - (g_late * late - bits) / early), g_late

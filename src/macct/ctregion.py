@@ -3,8 +3,9 @@
 User i must deliver tau_i bits per source unit; transmitting at constrained
 rate R_i it finishes after d_i = tau_i / R_i channel uses per source unit.
 A pair (d1, d2) is achievable exactly when the rate pair (tau1/d1, tau2/d2)
-lies in the c-constrained capacity region with c = d1/d2 -- that test
-(`ct_contains`) is the definitional ground truth for everything else here.
+lies in the c-constrained capacity region with c = d1/d2.  `ct_contains`,
+the definitional ground truth for everything else here, multiplies each of
+those inequalities by its rate's block length: three linear tests, no division.
 
 The region splits into two convex pieces: D1 on the d1 <= d2 side and D2 on
 d1 >= d2.  Each piece is an intersection of half-planes among
@@ -34,7 +35,6 @@ equal-time vertex Cbar.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
@@ -42,15 +42,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma
-from .constrained import (
-    _C_MAX,
-    _C_MIN,
-    _NAMES,
-    ConstrainedRateQuery,
-    _check_ratio,
-    _infeasible,
-    _membership_slacks,
-)
+from .constrained import ConstrainedRateQuery, constrained_slacks
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -58,10 +50,8 @@ from .types import (
     ConsistencyError,
     ConvexPiece,
     HalfPlane,
-    InfeasibleError,
     RatePair,
     TrafficLoad,
-    _require_finite,
     _user_index,
 )
 
@@ -109,15 +99,18 @@ def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
 
 
 def _cases(g: Gammas, load: TrafficLoad) -> tuple[Case, Case | None]:
-    """The load's case, and Case II as the adjacent case when the load is on a boundary."""
+    """The load's case, and the case across a boundary the load lies on (else None)."""
     g1, g2, g12 = g
     # Case I when tau2/tau1 <= (g12-g1)/g1, Case III when >= g2/(g12-g2), cross-multiplied.
     lhs1, rhs1 = load.tau2 * g1, load.tau1 * (g12 - g1)
     lhs3, rhs3 = load.tau2 * (g12 - g2), load.tau1 * g2
     case = Case.I if lhs1 <= rhs1 else Case.III if lhs3 >= rhs3 else Case.II
-    on_boundary = (abs(lhs1 - rhs1) <= _BOUNDARY_REL_TOL * max(lhs1, rhs1)
-                   or abs(lhs3 - rhs3) <= _BOUNDARY_REL_TOL * max(lhs3, rhs3))
-    return case, Case.II if on_boundary else None
+    near_i = abs(lhs1 - rhs1) <= _BOUNDARY_REL_TOL * max(lhs1, rhs1)
+    if not (near_i or abs(lhs3 - rhs3) <= _BOUNDARY_REL_TOL * max(lhs3, rhs3)):
+        return case, None
+    if case is not Case.II:
+        return case, Case.II
+    return case, Case.I if near_i else Case.III
 
 
 def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> RatePair:
@@ -169,50 +162,43 @@ def _map_rate_to_ct(
 
 def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:
     """The constrained-rate query (tau1/d1, tau2/d2) at ratio c = d1/d2."""
-    r1, r2, c = _ct_rates(load, d)
-    return ConstrainedRateQuery(RatePair(r1, r2), c)
-
-
-def _ct_rates(
-    load: TrafficLoad, d: CompletionTimePair, solo_floor: bool = False
-) -> tuple[float, float, float]:
-    """`ct_query`'s (r1, r2, c) as floats, with its checks, order and messages.
-
-    A rate tau_i/d_i that overflows puts d_i below user i's solo floor.  With
-    `solo_floor` that raises `InfeasibleError` naming the floor, before the c
-    check; without it, the rate's `ValueError`, as in `ct_query`.
-    """
-    r1, r2, c = load.tau1 / d.d1, load.tau2 / d.d2, d.d1 / d.d2
-    if r1 < math.inf and r2 < math.inf and _C_MIN <= c <= _C_MAX:  # every check passes
-        return r1, r2, c
-    if solo_floor and (r1 == math.inf or r2 == math.inf):
-        violated = ", ".join(
-            f"{name} violated by inf" for name, r in zip(_NAMES, (r1, r2)) if r == math.inf
-        )
-        raise _infeasible(r1, r2, c, violated)
-    return _require_finite("r1", r1), _require_finite("r2", r2), _check_ratio(c)
+    return ConstrainedRateQuery(RatePair(load.tau1 / d.d1, load.tau2 / d.d2), d.d1 / d.d2)
 
 
 def ct_contains(
     cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair, tol: float = EPS_MEM
 ) -> bool:
     """Definitional membership test: the induced rate pair must be achievable."""
-    return _ct_member(_gammas(cfg), load, d, tol)
+    return _ct_member(_gammas(cfg), load, d.d1, d.d2, tol)
 
 
-def _ct_member(g: Gammas, load: TrafficLoad, d: CompletionTimePair, tol: float) -> bool:
-    """`ct_contains` given the `_gammas` triple; the scalar twin of `ct_contains_grid`."""
-    try:
-        rates = _ct_rates(load, d, solo_floor=True)
-    except InfeasibleError:  # a rate overflowed: d lies below a solo floor
-        return False
-    s1, s2, s3 = _membership_slacks(g, *rates)
-    return bool(s1 >= -tol and s2 >= -tol and s3 >= -tol)  # a bool for numpy tol too
+def _ct_member(g: Gammas, load: TrafficLoad, d1, d2, tol: float):
+    """Membership of (d1, d2): a bool for floats, the elementwise mask for arrays."""
+    solo_1, solo_2, sum_face = _ct_tests(g, load, d1, d2, tol)
+    return solo_1 & solo_2 & sum_face
+
+
+def _ct_tests(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
+    """The solo floors and the first finisher's sum face (D1's on d1 <= d2, D2's on d1 >= d2).
+
+    Each is a rate-space inequality times its rate's block length, so tol on
+    a rate is tol times that rate's time; nothing is divided.  The sum face
+    reads: what the late finisher can send beyond its load covers what the
+    early one lacks, each side a difference of nearly equal terms.
+    """
+    g1, g2, g12 = g
+    tau1, tau2 = load.tau1, load.tau2
+    return (
+        (g1 + tol) * d1 >= tau1,
+        (g2 + tol) * d2 >= tau2,
+        (d1 <= d2) & (g2 * d2 - tau2 >= tau1 - (g12 - g2 + tol) * d1)
+        | (d1 >= d2) & (g1 * d1 - tau1 >= tau2 - (g12 - g1 + tol) * d2),
+    )
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:
-    """Rate-space slacks of the membership inequalities at d."""
-    return dict(zip(_NAMES, _membership_slacks(_gammas(cfg), *_ct_rates(load, d))))
+    """Rate-space slacks of the membership inequalities at d (`ct_query`'s checks apply)."""
+    return constrained_slacks(cfg, ct_query(load, d))
 
 
 def ct_contains_grid(
@@ -223,10 +209,7 @@ def ct_contains_grid(
     tol: float = EPS_MEM,
 ) -> np.ndarray:
     """Vectorized `ct_contains` over positive arrays d1, d2 (broadcastable)."""
-    single_1, single_2, sum_rate = _membership_slacks(
-        _gammas(cfg), load.tau1 / d1, load.tau2 / d2, d1 / d2
-    )
-    return (single_1 >= -tol) & (single_2 >= -tol) & (sum_rate >= -tol)
+    return _ct_member(_gammas(cfg), load, d1, d2, tol)
 
 
 def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:

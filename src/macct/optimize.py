@@ -204,9 +204,9 @@ def _is_tie(
     other_value: float,
     other_point: CompletionTimePair,
 ) -> bool:
-    same_value = abs(other_value - value) <= _TIE_TOL * max(1.0, abs(value))
-    distinct = (
-        abs(other_point.d1 - point.d1) > _TIE_TOL or abs(other_point.d2 - point.d2) > _TIE_TOL
-    )
+    # Values and points scale with the load alike, so both tolerances scale with the value.
+    tol = _TIE_TOL * max(1.0, abs(value))
+    same_value = abs(other_value - value) <= tol
+    distinct = abs(other_point.d1 - point.d1) > tol or abs(other_point.d2 - point.d2) > tol
     return same_value and distinct
 

@@ -3,11 +3,13 @@
 Everything here rests only on the definitional membership test
 (`ct_contains_grid`); none of the closed-form region descriptions or table
 solutions are consulted when computing an optimum, so a grid search is an
-independent witness.  `default_grid` reads its box off the definitional
-c = 1 constraints alone.  Reported optima carry an explicit certified gap:
-the objective's increase over one grid step on each axis.  The region is
-upward closed, so rounding the true optimizer up to the next grid point
-stays feasible and costs at most that much.
+independent witness.  That test shares its linear forms with `build_region`,
+so `oracle_region_equivalence` checks which constraints each piece carries.
+`default_grid` reads its box off the definitional c = 1 constraints alone.
+Reported optima carry an explicit certified gap: the objective's increase
+over one grid step on each axis.  The region is upward closed, so rounding
+the true optimizer up to the next grid point stays feasible and costs at
+most that much.
 
 Upward closure also makes each d1 column's feasible points a suffix of the
 d2 axis, so the optimum oracles bisect every column for its first one (about

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .capacity import _gammas
-from .constrained import _decompose, _membership_slacks, _violations
-from .ctregion import _ct_member, _ct_rates
+from .capacity import Gammas, _gammas
+from .constrained import _NAMES, _infeasible, _membership_slacks, _split, _violations
+from .ctregion import _ct_member, _ct_tests
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -33,7 +33,7 @@ from .types import (
     _user_index,
 )
 
-# Phases shorter than this are dropped entirely.
+# Solo phases shorter than this are dropped entirely, as are spliced phases in `compose`.
 _MIN_DURATION = 1e-12
 _BIT_TOL = 1e-9
 _BOTH = frozenset((1, 2))  # the user sets of a shared phase and of each solo phase
@@ -111,24 +111,39 @@ def synthesize(
 ) -> Schedule:
     """Build the two-phase schedule achieving a feasible pair d.
 
-    The early finisher runs at tau/d for its whole active window; the late
-    finisher's rate is split so the solo phase runs as fast as possible
-    (its shared-phase rate drops to 0 when the solo phase alone suffices).
-    Raises InfeasibleError, naming the violated constraint, for d outside
-    the region.
+    The early finisher runs at tau/d over the shared phase, its only one,
+    which is kept however short; the late finisher's bits are split so the
+    solo phase runs as fast as possible (its shared-phase rate is exactly
+    0.0 when the solo phase alone suffices).  Raises InfeasibleError, naming
+    each violated constraint, for d outside the region.
     """
-    r1, r2, c = _ct_rates(load, d, solo_floor=True)
-    shared_rate, solo_rate, solo_user = _decompose(_gammas(cfg), r1, r2, c, tol)
-    if solo_user == 1:  # user 1 finishes last
-        early, late, shared, solo = d.d2, d.d1, (shared_rate, r2), (solo_rate, 0.0)
+    g = _gammas(cfg)
+    d1, d2 = d.d1, d.d2
+    tests = _ct_tests(g, load, d1, d2, tol)
+    if not all(tests):
+        raise _refusal(g, load, d1, d2, tests)
+    if d1 > d2:  # user 1 finishes last
+        shared_rate, solo_rate = _split(load.tau1, d2, d1, g[0])
+        early, late, shared, solo = d2, d1, (shared_rate, load.tau2 / d2), (solo_rate, 0.0)
     else:  # user 2 finishes last, or both at d1 == d2 with an empty solo phase
-        early, late, shared, solo = d.d1, d.d2, (r1, shared_rate), (0.0, solo_rate)
-    phases = []
-    if early >= _MIN_DURATION:
-        phases.append(Phase(early, RatePair(*shared), _BOTH))
+        shared_rate, solo_rate = _split(load.tau2, d1, d2, g[1])
+        early, late, shared, solo = d1, d2, (load.tau1 / d1, shared_rate), (0.0, solo_rate)
+    phases = [Phase(early, RatePair(*shared), _BOTH)]
     if late - early >= _MIN_DURATION:
-        phases.append(Phase(late - early, RatePair(*solo), _SOLO[solo_user - 1]))
+        phases.append(Phase(late - early, RatePair(*solo), _SOLO[0 if d1 > d2 else 1]))
     return Schedule(tuple(phases), achieved=d)
+
+
+def _refusal(g: Gammas, load: TrafficLoad, d1: float, d2: float, tests: tuple) -> InfeasibleError:
+    """The error naming each failed test of `_ct_tests` and the rate it lacks."""
+    g1, g2, g12 = g
+    tau1, tau2, r1, r2 = load.tau1, load.tau2, load.tau1 / d1, load.tau2 / d2
+    lacks = (r1 - g1, r2 - g2, (tau1 - (g12 - g2) * d1 - (g2 * d2 - tau2)) / d1 if d1 <= d2
+             else (tau2 - (g12 - g1) * d2 - (g1 * d1 - tau1)) / d2)
+    violated = ", ".join(
+        f"{name} violated by {lack:.3g}" for name, ok, lack in zip(_NAMES, tests, lacks) if not ok
+    )
+    return _infeasible(r1, r2, d1 / d2, violated)
 
 
 def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:
@@ -218,7 +233,7 @@ def validate(
                 f"{last:.12g}, completion time is {deadline:.12g}"
             )
 
-    if not _ct_member(g, load, s.achieved, tol):
+    if not _ct_member(g, load, s.achieved.d1, s.achieved.d2, tol):
         violations.append(
             f"achieved pair ({s.achieved.d1:.6g}, {s.achieved.d2:.6g}) is not in the region"
         )

@@ -6,6 +6,7 @@ from macct import (
     ChannelConfig,
     ConstrainedRateQuery,
     InfeasibleError,
+    RateDecomposition,
     RatePair,
     clamp_transform,
     constrained_contains,
@@ -131,6 +132,11 @@ class TestDecomposition:
             decompose_rate(CFG33, q(1.0, 1.0, 1.0))
         with pytest.raises(InfeasibleError, match="single_user_1"):
             decompose_rate(CFG33, q(1.5, 0.0, 0.5))
+
+    def test_equal_lengths_with_a_silent_late_user(self):
+        # c = 1 has no solo phase to divide by, and r2 = 0 leaves nothing to split
+        assert decompose_rate(CFG33, q(0.5, 0.0, 1.0)) == RateDecomposition(0.0, 0.0, 2)
+        assert decompose_rate(CFG33, q(0.5, 0.25, 1.0)) == RateDecomposition(0.25, 0.0, 2)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(99)

@@ -25,6 +25,8 @@ from macct import (
     equal_time_vertex,
     gamma,
     map_rate_to_ct,
+    minimize_subregion,
+    minimize_weighted_sum,
     outer_bound,
     point_c,
     region_contains,
@@ -148,98 +150,98 @@ class TestMembership:
             assert got.tolist() == expected
 
     def test_grid_slacks_equal_scalar_slacks_on_both_sides_of_equal_times(self):
+        # Grid and scalar verdicts agree on d1 < d2, d1 > d2 and d1 == d2, and
+        # each of the grid's three time-space masks says what the sign of its
+        # rate-space slack in `ct_slacks` says, clear of the tolerance edge.
         from macct.capacity import _gammas
-        from macct.constrained import _membership_slacks
+        from macct.ctregion import _ct_tests
 
         rng = np.random.default_rng(9)
         for _ in range(20):
             cfg, load = random_instance(rng)
             d1 = rng.uniform(0.05, 6.0, size=300)
             d2 = np.concatenate([rng.uniform(0.05, 6.0, size=200), d1[200:]])  # d1 == d2
-            grid = _membership_slacks(_gammas(cfg), load.tau1 / d1, load.tau2 / d2, d1 / d2)
+            masks = _ct_tests(_gammas(cfg), load, d1, d2, EPS_MEM)
             assert ct_contains_grid(cfg, load, d1, d2).tolist() == [
                 ct_contains(cfg, load, CompletionTimePair(a, b)) for a, b in zip(d1, d2)
             ]
             for k, (a, b) in enumerate(zip(d1, d2)):
                 scalar = ct_slacks(cfg, load, CompletionTimePair(a, b))
                 assert all(type(s) is float for s in scalar.values())
-                assert list(scalar.values()) == [float(s[k]) for s in grid]
+                for mask, s in zip(masks, scalar.values()):
+                    if abs(s + EPS_MEM) > 1e-12:
+                        assert bool(mask[k]) == (s >= -EPS_MEM), (cfg, load, a, b, scalar)
 
     def test_float_path_matches_query_objects(self):
-        # `ct_contains`, `ct_slacks` and `synthesize` test (tau1/d1, tau2/d2, d1/d2)
-        # on floats; each must give exactly what the `ConstrainedRateQuery` route
-        # gives, exceptions and their messages included.  The one exception is a
-        # rate that overflows: that d_i lies below user i's solo floor, so
-        # `ct_contains` says False and `synthesize` raises InfeasibleError, where
-        # the query route (and `ct_slacks`) refuse the infinite rate.
+        # The rate-space witness: `ct_contains` tests (d1, d2) in time space, and
+        # where the `ConstrainedRateQuery` route answers it must say the same at
+        # `EPS_MEM`, on the moderate domain and on p in [1e-4, 1e6], tau in
+        # [1e-4, 1e4]; `ct_slacks` is that route.  `synthesize` splits
+        # the late finisher's bits in time as `decompose_rate` splits its rate,
+        # and refuses the same pairs, naming the same constraints.  Pairs the
+        # query refuses (c out of its range, an infinite rate) get an answer.
+        import re
+
         from macct.ctregion import ct_query
-        from macct.schedule import _MIN_DURATION
 
         def outcome(fn):
             try:
-                return repr(fn())
+                return fn()
             except ValueError as exc:
-                return repr((type(exc), str(exc)))
+                return exc
 
-        def phases_from_query(cfg, load, d):
-            query = ct_query(load, d)
-            dec = decompose_rate(cfg, query)
-            late = dec.solo_user - 1
-            times = d.as_tuple()
-            shared = list(query.rates.as_tuple())
-            shared[late] = dec.shared_phase_rate
-            solo = [0.0, 0.0]
-            solo[late] = dec.solo_phase_rate
-            return tuple(
-                Phase(t, RatePair(*rates), frozenset(users))
-                for t, rates, users in (
-                    (times[1 - late], shared, {1, 2}),
-                    (times[late] - times[1 - late], solo, {late + 1}),
-                )
-                if t >= _MIN_DURATION
-            )
+        def named(exc):
+            return re.findall(r"(\w+) violated by", str(exc))
 
         rng = np.random.default_rng(47)
-        seen = set()
-        for p_lo, p_hi, tau_lo, tau_hi in ((1e-2, 1e4, 1e-2, 1e2), (1e-4, 1e6, 1e-4, 1e4)):
-            for _ in range(150):
-                p1, p2 = np.exp(rng.uniform(np.log(p_lo), np.log(p_hi), 2))
-                tau1, tau2 = np.exp(rng.uniform(np.log(tau_lo), np.log(tau_hi), 2))
-                cfg, load = ChannelConfig(float(p1), float(p2)), TrafficLoad(float(tau1), float(tau2))
-                floor1, floor2 = tau1 / gamma(p1), tau2 / gamma(p2)
-                t_sum = (tau1 + tau2) / gamma(p1 + p2)  # (t_sum, t_sum) sits on the sum face
-                pairs = [(floor1 * a, floor2 * b)
-                         for a, b in np.exp(rng.uniform(-0.2, 1.5, (12, 2)))]
-                pairs += [(t_sum * f, t_sum * f) for f in (1 - 1e-9, 1.0, 1 + 1e-9, 1.01)]
-                # c above and below its range, c underflowing to 0, and r1 overflowing
-                pairs += [(1e13, 1.0), (1.0, 1e13), (1e-300, 1.0), (1e-300, 1e300), (5e-324, 1.0)]
-                for d in (CompletionTimePair(float(x), float(y)) for x, y in pairs):
-                    overflow = load.tau1 / d.d1 == np.inf  # only at (5e-324, 1)
-                    for tol in (EPS_MEM, 0.0):
-                        got = outcome(lambda: ct_contains(cfg, load, d, tol))
-                        want = outcome(lambda: constrained_contains(cfg, ct_query(load, d), tol))
-                        assert got == ("False" if overflow else want), (cfg, load, d, tol)
-                        seen.add(want)
-                    slacks = outcome(lambda: ct_slacks(cfg, load, d))
-                    assert slacks == outcome(
-                        lambda: constrained_slacks(cfg, ct_query(load, d))
-                    ), (cfg, load, d)
-                    seen.add(slacks)
-                    phases = outcome(lambda: synthesize(cfg, load, d).phases)
-                    if overflow:
-                        assert phases == repr((InfeasibleError, (
-                            f"rate pair (inf, {load.tau2:.6g}) at c=4.94066e-324 is "
-                            "infeasible: single_user_1 violated by inf"
-                        ))), (cfg, load, phases)
-                    else:
-                        assert phases == outcome(
-                            lambda: phases_from_query(cfg, load, d)
-                        ), (cfg, load, d)
-        assert {"True", "False"} <= seen
-        messages = " ".join(seen)
-        for text in ("outside the well-conditioned range", "positive finite ratio",
-                     "r1 must be finite"):
-            assert text in messages
+        answered = set()
+        domains = [(1e-2, 1e4, 1e-2, 1e2)] * 150 + [(1e-4, 1e6, 1e-4, 1e4)] * 150
+        for p_lo, p_hi, tau_lo, tau_hi in domains:
+            p1, p2 = np.exp(rng.uniform(np.log(p_lo), np.log(p_hi), 2))
+            tau1, tau2 = np.exp(rng.uniform(np.log(tau_lo), np.log(tau_hi), 2))
+            cfg, load = ChannelConfig(float(p1), float(p2)), TrafficLoad(float(tau1), float(tau2))
+            floor1, floor2 = tau1 / gamma(p1), tau2 / gamma(p2)
+            t_sum = (tau1 + tau2) / gamma(p1 + p2)  # (t_sum, t_sum) sits on the sum face
+            pairs = [(floor1 * a, floor2 * b) for a, b in np.exp(rng.uniform(-0.2, 1.5, (12, 2)))]
+            pairs += [(t_sum * f, t_sum * f) for f in (1 - 1e-9, 1.0, 1 + 1e-9, 1.01)]
+            # c above and below its range, c underflowing to 0, and r1 overflowing
+            pairs += [(1e13, 1.0), (1.0, 1e13), (1e-300, 1.0), (1e-300, 1e300), (5e-324, 1.0)]
+            for d in (CompletionTimePair(float(x), float(y)) for x, y in pairs):
+                member = ct_contains(cfg, load, d)
+                assert type(member) is bool
+                query = outcome(lambda: ct_query(load, d))
+                slacks = outcome(lambda: ct_slacks(cfg, load, d))
+                plan = outcome(lambda: synthesize(cfg, load, d))
+                assert isinstance(plan, Schedule) == member, (cfg, load, d, plan)
+                if member:
+                    assert validate(cfg, load, plan).ok, (cfg, load, d)
+                else:
+                    assert type(plan) is InfeasibleError and named(plan), (cfg, load, d, plan)
+                if isinstance(query, ValueError):  # the rate-space view refuses d
+                    assert type(query) is ValueError
+                    assert repr(slacks) == repr(query)
+                    answered.add((str(query).split(",")[0], member))
+                    continue
+                assert slacks == constrained_slacks(cfg, query)
+                assert member == constrained_contains(cfg, query), (cfg, load, d)
+                dec = outcome(lambda: decompose_rate(cfg, query))
+                if not member:
+                    assert named(dec) == named(plan), (cfg, load, d, dec, plan)
+                    continue
+                late = dec.solo_user - 1
+                shared = list(query.rates.as_tuple())
+                shared[late] = dec.shared_phase_rate
+                assert plan.phases[0].rates.as_tuple() == pytest.approx(shared, rel=0, abs=1e-11)
+                if len(plan.phases) == 2:
+                    solo = plan.phases[1]
+                    assert solo.active_users == {late + 1}
+                    assert solo.rates.as_tuple()[late] == pytest.approx(
+                        dec.solo_phase_rate, rel=0, abs=1e-11)
+        messages = {message for message, _ in answered}
+        assert {"r1 must be finite", "c must be a positive finite ratio"} <= messages
+        assert any(m.startswith("c=") and "outside the well-conditioned range" in m
+                   for m in messages)
+        assert {True, False} <= {member for _, member in answered}
 
     @pytest.mark.parametrize("d, user", [
         ((5e-324, 1.0), 1), ((1e-310, 1e-300), 1), ((1.0, 5e-324), 2),
@@ -263,9 +265,9 @@ class TestMembership:
             assert type(err.value) is ValueError
 
     def test_rate_checks_keep_their_order(self):
-        # `_ct_rates` passes in-range values at once; otherwise r1 is checked
-        # first, then r2, then c, whichever else also fails.
-        from macct.ctregion import _ct_rates
+        # `ct_query` checks r1 first, then r2, then c, whichever else also fails.
+        from macct.constrained import ConstrainedRateQuery
+        from macct.ctregion import ct_query
 
         load = TrafficLoad(1.0, 1e10)
         cases = [
@@ -276,15 +278,10 @@ class TestMembership:
         ]
         for d, message in cases:
             with pytest.raises(ValueError, match=message) as err:
-                _ct_rates(load, CompletionTimePair(*d))
+                ct_query(load, CompletionTimePair(*d))
             assert type(err.value) is ValueError
-        assert _ct_rates(load, CompletionTimePair(2.0, 4.0)) == (0.5, 2.5e9, 0.5)
-        # the solo-floor form names every overflowing rate before the c check
-        with pytest.raises(InfeasibleError, match="single_user_1 violated by inf, "
-                                                  "single_user_2 violated by inf"):
-            _ct_rates(load, CompletionTimePair(5e-324, 1e-300), solo_floor=True)
-        with pytest.raises(ValueError, match="outside the well-conditioned range"):
-            _ct_rates(load, CompletionTimePair(1e-300, 1.0), solo_floor=True)
+        assert ct_query(load, CompletionTimePair(2.0, 4.0)) == ConstrainedRateQuery(
+            RatePair(0.5, 2.5e9), 0.5)
 
     def test_scaling_law(self):
         rng = np.random.default_rng(10)
@@ -299,6 +296,22 @@ class TestMembership:
                     assert la == lb
                     assert xb == pytest.approx(lam * xa, rel=1e-12)
                     assert yb == pytest.approx(lam * ya, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [100.0, 1e4, 1e6])
+    def test_tie_flags_follow_the_scaling_law(self, scale):
+        # The region scales with the load, so the optima's tie flags do not
+        # change with it, here on a load within 1e-13 of the I/II boundary.
+        g1, g12 = gamma(3.0), gamma(6.0)
+        ratio = (g12 - g1) / g1 * (1.0 + 1e-13)
+        base, scaled = TrafficLoad(1.0, ratio), TrafficLoad(scale, scale * ratio)
+        for w in (0.0, 0.3, 0.5, 0.9, 1.0):
+            for branch in (1, 2):
+                want = minimize_subregion(CFG33, base, branch, w)
+                got = minimize_subregion(CFG33, scaled, branch, w)
+                assert (got.tie, got.rate_point_label) == (want.tie, want.rate_point_label)
+            assert minimize_weighted_sum(CFG33, scaled, w).tie == minimize_weighted_sum(
+                CFG33, base, w).tie
+        assert minimize_subregion(CFG33, scaled, 1, 0.5).tie is False
 
 
 class TestRegionDescription:

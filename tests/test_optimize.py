@@ -339,6 +339,37 @@ def test_case_boundary_disagreement_raises(monkeypatch):
         minimax(CFG33, TrafficLoad(g1, g12 - g1))  # on the I/II boundary
 
 
+
+@pytest.mark.parametrize("side, perturbed_case", [(1, Case.I), (3, Case.III)])
+def test_case_ii_load_is_cross_checked_against_the_case_across_the_boundary(
+    monkeypatch, side, perturbed_case
+):
+    # A Case II load within 1e-12 of a boundary is checked against Case I or
+    # Case III, not against Case II itself.
+    import macct.optimize as optimize
+    from macct.capacity import _gammas
+    from macct.ctregion import _cases
+
+    g1, g2, g12 = _gammas(CFG33)
+    if side == 1:  # just above the I/II boundary ratio (g12 - g1)/g1
+        load = TrafficLoad(1.0, (g12 - g1) / g1 * (1.0 + 1e-13))
+    else:  # just below the II/III boundary ratio g2/(g12 - g2)
+        load = TrafficLoad((g12 - g2) / g2 * (1.0 + 1e-13), 1.0)
+    assert _cases(_gammas(CFG33), load) == (Case.II, perturbed_case)
+    exact = optimize._minimax_value
+    value = minimax(CFG33, load)[0]
+
+    def perturbed(g, load, case):  # the adjacent case's formula, off by one part in a million
+        value = exact(g, load, case)
+        return value * (1.0 + 1e-6) if case is perturbed_case else value
+
+    monkeypatch.setattr(optimize, "_minimax_value", perturbed)
+    with pytest.raises(ConsistencyError, match="disagrees across the case boundary"):
+        minimax(CFG33, load)
+    assert minimax(CFG33, LOAD_II)[0] == exact(_gammas(CFG33), LOAD_II, Case.II)
+    assert value == pytest.approx(exact(_gammas(CFG33), load, perturbed_case), rel=1e-12)
+
+
 def _random_branch_point(rng, cfg, load, branch):
     """Random pentagon-feasible point on the branch's side of the demand ray."""
     c = point_c(cfg, load)

@@ -107,6 +107,62 @@ class TestSynthesize:
             assert report.ok
 
 
+class TestWideRatios:
+    """Members whose c = d1/d2 lies beyond [1e-12, 1e12], or rounds to 0 or inf."""
+
+    def _members(self, rng, n):
+        # The early finisher sits just above its solo floor and the late one
+        # finishes 1e12 to 1e18 times later.  Every time stays below 1e6:
+        # validate's end-time and bit tolerances are absolute (1e-9).
+        out = []
+        while len(out) < n:
+            powers = np.exp(rng.uniform(np.log(1e-2), np.log(1e4), 2))
+            cfg = ChannelConfig(float(powers[0]), float(powers[1]))
+            early = int(rng.integers(2))  # 0: user 1 finishes first
+            taus = [float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))) for _ in range(2)]
+            taus[early] = float(np.exp(rng.uniform(np.log(1e-14), np.log(1e-8))))
+            load = TrafficLoad(*taus)
+            times = [0.0, 0.0]
+            floor = taus[early] / gamma(float(powers[early]))
+            times[early] = floor * float(rng.uniform(1.0, 2.0))
+            times[1 - early] = times[early] * float(np.exp(rng.uniform(np.log(1e12), np.log(1e18))))
+            d = CompletionTimePair(*times)
+            if d.d2 < 1e6 and d.d1 < 1e6 and ct_contains(cfg, load, d):
+                out.append((cfg, load, d))
+        return out
+
+    def test_members_beyond_the_c_range_validate(self):
+        members = self._members(np.random.default_rng(71), 200)
+        ratios = [d.d1 / d.d2 for _, _, d in members]
+        assert min(ratios) < 1e-12 and max(ratios) > 1e12
+        assert all(not 1e-12 <= c <= 1e12 for c in ratios)
+        for cfg, load, d in members:
+            report = validate(cfg, load, synthesize(cfg, load, d))
+            assert report.ok, (cfg, load, d, report.violations)
+
+    @pytest.mark.parametrize("d, load", [
+        ((1e-300, 1e30), (1e-301, 1.0)),  # d1/d2 rounds to 0
+        ((1e30, 1e-300), (1.0, 1e-301)),  # d1/d2 overflows to inf
+    ])
+    def test_ratio_that_rounds_away(self, d, load):
+        d, load = CompletionTimePair(*d), TrafficLoad(*load)
+        assert d.d1 / d.d2 in (0.0, float("inf"))
+        s = synthesize(CFG33, load, d)
+        shared = s.phases[0]
+        assert shared.duration == min(d.as_tuple())  # kept, though shorter than 1e-12
+        assert validate(CFG33, load, s).ok
+
+    def test_shared_rate_is_zero_when_the_solo_phase_carries_every_bit(self):
+        cfg = ChannelConfig(26.656682344026844, 5160.3345100736215)
+        load = TrafficLoad(0.02471199544039188, 4.1558712815245284)
+        d = CompletionTimePair(0.8881441727969035, 0.6739144127837967)  # user 1 late
+        s = synthesize(cfg, load, d)
+        shared, solo = s.phases
+        assert shared.rates.r1 == 0.0
+        assert solo.rates.r1 == load.tau1 / (d.d1 - d.d2) < gamma(cfg.p1)
+        assert validate(cfg, load, s).ok
+
+
 class TestCompose:
     def test_convex_combination_of_achieved_pairs(self):
         s = synthesize(CFG33, LOAD_II, CompletionTimePair(1.0, ABAR_II[0]))
