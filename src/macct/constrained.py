@@ -59,8 +59,8 @@ class RateDecomposition:
     """Split of the late finisher's rate into a shared-phase and a solo-phase part.
 
     With solo_user = 2 (c < 1):  R2 = c*shared + (1-c)*solo, and
-    (R1, shared) lies in the standard pentagon while solo <= gamma(P2).
-    Mirrored with weights 1/c for solo_user = 1 (c > 1).
+    (R1, shared) lies in the standard pentagon while solo <= gamma(P2), both
+    within tol.  Mirrored with weights 1/c for solo_user = 1 (c > 1).
     """
 
     shared_phase_rate: float
@@ -136,7 +136,8 @@ def decompose_rate(
     that ships every bit in the solo phase alone).  That convention frees
     the channel of multi-user interference as early as possible and puts
     the shared-phase pair on the clamp-transform image; when the solo phase
-    alone ships every bit, the shared-phase rate is exactly 0.0.
+    alone ships every bit, the shared-phase rate is exactly 0.0.  A late rate
+    above capacity (admitted by tol) is kept in both phases.
 
     Raises InfeasibleError (naming the violated constraint) when the query
     is outside the c-constrained region.
@@ -154,12 +155,15 @@ def decompose_rate(
 def _split(bits: float, early: float, late: float, g_late: float) -> tuple[float, float]:
     """The late finisher's rates (shared, solo) over [0, early] and [early, late] for `bits`.
 
-    The solo phase runs as fast as it may, at most g_late: when it alone
-    carries the bits the shared rate is 0.0.  Without one the solo rate is 0.0.
+    The solo phase runs as fast as it may, at most g_late: when it alone carries the bits the
+    shared rate is 0.0; without one the solo rate is 0.0.  Bits beyond g_late*late (admitted by
+    tol) go at bits/late in both phases, not into the shared phase (there they scale by late/early).
     """
     solo_time = late - early
     if solo_time == 0.0:
         return bits / early, 0.0
+    if g_late * late < bits:
+        return bits / late, bits / late
     solo = bits / solo_time
     if solo <= g_late:
         return 0.0, solo

@@ -169,7 +169,7 @@ def ct_contains(
     cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair, tol: float = EPS_MEM
 ) -> bool:
     """Definitional membership test: the induced rate pair must be achievable."""
-    return _ct_member(_gammas(cfg), load, d.d1, d.d2, tol)
+    return bool(_ct_member(_gammas(cfg), load, d.d1, d.d2, tol))  # a bool for numpy tol too
 
 
 def _ct_member(g: Gammas, load: TrafficLoad, d1, d2, tol: float):
@@ -179,21 +179,23 @@ def _ct_member(g: Gammas, load: TrafficLoad, d1, d2, tol: float):
 
 
 def _ct_tests(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
-    """The solo floors and the first finisher's sum face (D1's on d1 <= d2, D2's on d1 >= d2).
+    """The solo floors and the first finisher's sum face (D1's on d1 <= d2, D2's on d1 >= d2)."""
+    (l1, r1), (l2, r2), (l3, r3), (l4, r4) = _ct_sides(g, load, d1, d2, tol)
+    return l1 >= r1, l2 >= r2, (d1 <= d2) & (l3 >= r3) | (d1 >= d2) & (l4 >= r4)
 
-    Each is a rate-space inequality times its rate's block length, so tol on
-    a rate is tol times that rate's time; nothing is divided.  The sum face
-    reads: what the late finisher can send beyond its load covers what the
-    early one lacks, each side a difference of nearly equal terms.
+
+def _ct_sides(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
+    """(left, right) of the solo floors and of D1's and D2's sum faces, each met as left >= right.
+
+    Each is a rate-space inequality times its rate's block length: tol on a rate is tol times its
+    time, nothing is divided, and a failed one (at tol 0) lacks (right - left)/time as a rate.  A
+    sum face reads: the late finisher's spare bits cover the early one's lack (nearly equal terms).
     """
     g1, g2, g12 = g
     tau1, tau2 = load.tau1, load.tau2
-    return (
-        (g1 + tol) * d1 >= tau1,
-        (g2 + tol) * d2 >= tau2,
-        (d1 <= d2) & (g2 * d2 - tau2 >= tau1 - (g12 - g2 + tol) * d1)
-        | (d1 >= d2) & (g1 * d1 - tau1 >= tau2 - (g12 - g1 + tol) * d2),
-    )
+    return (((g1 + tol) * d1, tau1), ((g2 + tol) * d2, tau2),
+            (g2 * d2 - tau2, tau1 - (g12 - g2 + tol) * d1),
+            (g1 * d1 - tau1, tau2 - (g12 - g1 + tol) * d2))
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .capacity import Gammas, _gammas
+from .capacity import _gammas
 from .constrained import _NAMES, _infeasible, _membership_slacks, _split, _violations
-from .ctregion import _ct_member, _ct_tests
+from .ctregion import _ct_member, _ct_sides, _ct_tests
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -114,14 +114,19 @@ def synthesize(
     The early finisher runs at tau/d over the shared phase, its only one,
     which is kept however short; the late finisher's bits are split so the
     solo phase runs as fast as possible (its shared-phase rate is exactly
-    0.0 when the solo phase alone suffices).  Raises InfeasibleError, naming
-    each violated constraint, for d outside the region.
+    0.0 when the solo phase alone suffices; one that meets its solo floor
+    only within tol runs at tau/d throughout).  Raises InfeasibleError,
+    naming each violated constraint, for d outside the region.
     """
     g = _gammas(cfg)
     d1, d2 = d.d1, d.d2
     tests = _ct_tests(g, load, d1, d2, tol)
-    if not all(tests):
-        raise _refusal(g, load, d1, d2, tests)
+    if not all(tests):  # name each failed test and the rate it lacks
+        floor1, floor2, sum1, sum2 = _ct_sides(g, load, d1, d2, 0.0)
+        sides = (floor1, d1), (floor2, d2), (sum1, d1) if d1 <= d2 else (sum2, d2)
+        violated = ", ".join(f"{name} violated by {(r - l) / t:.3g}"
+                             for name, ok, ((l, r), t) in zip(_NAMES, tests, sides) if not ok)
+        raise _infeasible(load.tau1 / d1, load.tau2 / d2, d1 / d2, violated)
     if d1 > d2:  # user 1 finishes last
         shared_rate, solo_rate = _split(load.tau1, d2, d1, g[0])
         early, late, shared, solo = d2, d1, (shared_rate, load.tau2 / d2), (solo_rate, 0.0)
@@ -132,18 +137,6 @@ def synthesize(
     if late - early >= _MIN_DURATION:
         phases.append(Phase(late - early, RatePair(*solo), _SOLO[0 if d1 > d2 else 1]))
     return Schedule(tuple(phases), achieved=d)
-
-
-def _refusal(g: Gammas, load: TrafficLoad, d1: float, d2: float, tests: tuple) -> InfeasibleError:
-    """The error naming each failed test of `_ct_tests` and the rate it lacks."""
-    g1, g2, g12 = g
-    tau1, tau2, r1, r2 = load.tau1, load.tau2, load.tau1 / d1, load.tau2 / d2
-    lacks = (r1 - g1, r2 - g2, (tau1 - (g12 - g2) * d1 - (g2 * d2 - tau2)) / d1 if d1 <= d2
-             else (tau2 - (g12 - g1) * d2 - (g1 * d1 - tau1)) / d2)
-    violated = ", ".join(
-        f"{name} violated by {lack:.3g}" for name, ok, lack in zip(_NAMES, tests, lacks) if not ok
-    )
-    return _infeasible(r1, r2, d1 / d2, violated)
 
 
 def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:

@@ -138,6 +138,12 @@ class TestDecomposition:
         assert decompose_rate(CFG33, q(0.5, 0.0, 1.0)) == RateDecomposition(0.0, 0.0, 2)
         assert decompose_rate(CFG33, q(0.5, 0.25, 1.0)) == RateDecomposition(0.25, 0.0, 2)
 
+    def test_late_rate_above_capacity_within_tol(self):
+        # r2 exceeds gamma(P2) = 1 by 0.5e-9: kept in both phases, not pushed
+        # into the shared phase as 1 + 0.5e-9/c = 1.0005
+        r2 = 1.0 + 0.5e-9
+        assert decompose_rate(CFG33, q(0.4, r2, 1e-6)) == RateDecomposition(r2, r2, 2)
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(99)
         pent_cache = {}

@@ -162,6 +162,21 @@ class TestWideRatios:
         assert solo.rates.r1 == load.tau1 / (d.d1 - d.d2) < gamma(cfg.p1)
         assert validate(cfg, load, s).ok
 
+    @pytest.mark.parametrize("late", [1, 2])
+    def test_late_solo_floor_met_only_within_tol(self, late):
+        # tau_late is 0.9e-9*d_late above gamma(3)*d_late = d_late and the early
+        # user finishes 1e6 times sooner.  The late user runs at tau/d in both
+        # phases (1 + 0.9e-9); the excess put into the shared phase alone
+        # would make its rate 1.0009, outside the pentagon.
+        d_late = 1.0 / (1.0 + 0.9e-9)
+        d = CompletionTimePair(*((d_late, d_late / 1e6) if late == 1 else (d_late / 1e6, d_late)))
+        load = TrafficLoad(*((1.0, 1e-7) if late == 1 else (1e-7, 1.0)))
+        assert ct_contains(CFG33, load, d) and not ct_contains(CFG33, load, d, 0.0)
+        shared, solo = synthesize(CFG33, load, d).phases
+        assert shared.rates.as_tuple()[late - 1] == solo.rates.as_tuple()[late - 1] == 1.0 / d_late
+        report = validate(CFG33, load, synthesize(CFG33, load, d))
+        assert report.ok, report.violations
+
 
 class TestCompose:
     def test_convex_combination_of_achieved_pairs(self):
