@@ -45,6 +45,7 @@ from .capacity import Gammas, _corners, _gammas, gamma
 from .constrained import ConstrainedRateQuery, constrained_slacks
 from .types import (
     EPS_MEM,
+    _INF,
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
@@ -52,6 +53,7 @@ from .types import (
     HalfPlane,
     RatePair,
     TrafficLoad,
+    _slot_setters,
     _user_index,
 )
 
@@ -76,7 +78,7 @@ _PIECE_CORNERS: dict[Case, tuple[str, str]] = {
 _ORDER = (HalfPlane(-1.0, 1.0, 0.0), HalfPlane(1.0, -1.0, 0.0))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RegionDescription:
     """The region as two convex pieces plus the case label.
 
@@ -88,9 +90,17 @@ class RegionDescription:
     piece_d1: ConvexPiece
     piece_d2: ConvexPiece
 
+    def __init__(self, case: Case, piece_d1: ConvexPiece, piece_d2: ConvexPiece) -> None:
+        _set_case(self, case)
+        _set_piece_d1(self, piece_d1)
+        _set_piece_d2(self, piece_d2)
+
     @property
     def pieces(self) -> tuple[tuple[str, ConvexPiece], ...]:
         return (("D1", self.piece_d1), ("D2", self.piece_d2))
+
+
+_set_case, _set_piece_d1, _set_piece_d2 = _slot_setters(RegionDescription)
 
 
 def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
@@ -143,21 +153,26 @@ def map_rate_to_ct(
     d1 = tau1/r1; user 2 sends at r2 alongside and finishes its remaining
     bits alone at full rate gamma(P2).  Branch 2 mirrors the roles.
     """
-    return _map_rate_to_ct(_gammas(cfg), load, branch, r.as_tuple())
+    return CompletionTimePair(*_map_rate_to_ct(_gammas(cfg), load, branch, r.as_tuple()))
 
 
 def _map_rate_to_ct(
     g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float]
-) -> CompletionTimePair:
+) -> tuple[float, float]:
+    """`map_rate_to_ct` as a float pair, refused as `CompletionTimePair` refuses it."""
     early = branch if type(branch) is int and 0 < branch < 3 else _user_index("branch", branch)
     if r[early - 1] <= 0.0:
         raise ValueError(f"branch {branch} needs r{branch} > 0 (it divides by r{branch})")
     (r1, r2), tau1, tau2 = r, load.tau1, load.tau2
     if early == 1:
         g2 = g[1]
-        return CompletionTimePair(tau1 / r1, tau2 / g2 + (g2 - r2) * tau1 / (g2 * r1))
-    g1 = g[0]
-    return CompletionTimePair(tau1 / g1 + (g1 - r1) * tau2 / (g1 * r2), tau2 / r2)
+        d1, d2 = tau1 / r1, tau2 / g2 + (g2 - r2) * tau1 / (g2 * r1)
+    else:
+        g1 = g[0]
+        d1, d2 = tau1 / g1 + (g1 - r1) * tau2 / (g1 * r2), tau2 / r2
+    if not (0.0 < d1 < _INF and 0.0 < d2 < _INF):
+        CompletionTimePair(d1, d2)  # raises the value type's ValueError (a time <= 0 or inf)
+    return d1, d2
 
 
 def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:
@@ -228,18 +243,19 @@ def _floors(load: TrafficLoad, g1: float, g2: float) -> tuple[HalfPlane, HalfPla
 def equal_time_vertex(cfg: ChannelConfig, load: TrafficLoad) -> CompletionTimePair:
     """Cbar: image of point C, the boundary point with d1 = d2."""
     g = _gammas(cfg)
-    return _equal_time_vertex(g, load, _cases(g, load)[0])
+    t = _equal_time_vertex(g, load, _cases(g, load)[0])
+    return CompletionTimePair(t, t)
 
 
-def _equal_time_vertex(g: Gammas, load: TrafficLoad, case: Case) -> CompletionTimePair:
-    """`equal_time_vertex` given the `_gammas` triple and the load's case."""
+def _equal_time_vertex(g: Gammas, load: TrafficLoad, case: Case) -> float:
+    """The common time t of Cbar = (t, t), given the `_gammas` triple and the load's case."""
     c = _point_c(g, load, case)
-    d = _map_rate_to_ct(g, load, 1, c)
+    d1, d2 = d = _map_rate_to_ct(g, load, 1, c)
     # Both map branches coincide on the demand ray; pin exact equality.
     t = load.tau1 / c[0]
-    if abs(d.d1 - t) > 1e-12 * max(1.0, t) or abs(d.d2 - t) > 1e-9 * max(1.0, t):
-        raise ConsistencyError(f"branch-1 image {d.as_tuple()!r} of point C is not ({t!r}, {t!r})")
-    return CompletionTimePair(t, t)
+    if abs(d1 - t) > 1e-12 * max(1.0, t) or abs(d2 - t) > 1e-9 * max(1.0, t):
+        raise ConsistencyError(f"branch-1 image {d!r} of point C is not ({t!r}, {t!r})")
+    return t
 
 
 def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
@@ -256,7 +272,8 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     case = _cases(g, load)[0]
     a, b = _corners(g)
     corners = {"A": a, "B": b}
-    cbar = ("Cbar", _equal_time_vertex(g, load, case).as_tuple())
+    t = _equal_time_vertex(g, load, case)
+    cbar = ("Cbar", (t, t))
     floor1, floor2 = _floors(load, g[0], g[1])
     pieces = []
     # D1 (d1 <= d2) maps its corners on branch 1 and its sum normal is A; D2
@@ -266,9 +283,7 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
         (1, _PIECE_CORNERS[case][0], a, _ORDER[0], "bar'"),
         (2, _PIECE_CORNERS[case][1], b, _ORDER[1], "bar"),
     ):
-        images = [
-            (x + suffix, _map_rate_to_ct(g, load, branch, corners[x]).as_tuple()) for x in held
-        ]
+        images = [(x + suffix, _map_rate_to_ct(g, load, branch, corners[x])) for x in held]
         sum_rate = (HalfPlane(*normal, load.tau1 + load.tau2),) if held else ()
         pieces.append(ConvexPiece(
             (floor1, floor2, *sum_rate, order),

@@ -42,6 +42,7 @@ from .types import (
     RatePair,
     TrafficLoad,
     _require_unit_interval,
+    _slot_setters,
     _user_index,
 )
 
@@ -82,14 +83,37 @@ class Thresholds:
     w3: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeightedSumSolution:
+    """The optimum at one weight, the table cell that gave it, and whether the other cell ties."""
+
     weight: float
     optimal_value: float
     optimizer_point: CompletionTimePair
     rate_point_label: str
     branch: int
     tie: bool
+
+    def __init__(
+        self,
+        weight: float,
+        optimal_value: float,
+        optimizer_point: CompletionTimePair,
+        rate_point_label: str,
+        branch: int,
+        tie: bool,
+    ) -> None:
+        _set_weight(self, weight)
+        _set_value(self, optimal_value)
+        _set_point(self, optimizer_point)
+        _set_label(self, rate_point_label)
+        _set_branch(self, branch)
+        _set_tie(self, tie)
+
+
+_set_weight, _set_value, _set_point, _set_label, _set_branch, _set_tie = _slot_setters(
+    WeightedSumSolution
+)
 
 
 def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
@@ -148,7 +172,8 @@ def minimax(cfg: ChannelConfig, load: TrafficLoad) -> tuple[float, CompletionTim
     The vertex comes from the `_gammas` triple and the case that gave the value.
     """
     value, g, case = _cross_checked("minimax value", cfg, load, float, _minimax_value)
-    return value, _equal_time_vertex(g, load, case)
+    t = _equal_time_vertex(g, load, case)
+    return value, CompletionTimePair(t, t)
 
 
 def _minimax_value(g: Gammas, load: TrafficLoad, case: Case) -> float:
@@ -183,30 +208,31 @@ def _solve(g: Gammas, load: TrafficLoad, w: float, case: Case, row) -> WeightedS
     value, point = _evaluate_cell(g, load, w, case, *cell)
     other_value, other_point = _evaluate_cell(g, load, w, case, *other)
     tie = _is_tie(value, point, other_value, other_point)
-    return WeightedSumSolution(w, value, point, cell[1], cell[0], tie)
+    return WeightedSumSolution(w, value, CompletionTimePair(*point), cell[1], cell[0], tie)
 
 
 def _evaluate_cell(
     g: Gammas, load: TrafficLoad, w: float, case: Case, branch: int, label: str
-) -> tuple[float, CompletionTimePair]:
+) -> tuple[float, tuple[float, float]]:
+    """The cell's objective value and its point (d1, d2)."""
     if label == "C":
         r = _point_c(g, load, case)
     else:
         a, b = _corners(g)
         r = a if label == "A" else b
-    d = _map_rate_to_ct(g, load, branch, r)
-    return w * d.d1 + (1.0 - w) * d.d2, d
+    d1, d2 = d = _map_rate_to_ct(g, load, branch, r)
+    return w * d1 + (1.0 - w) * d2, d
 
 
 def _is_tie(
     value: float,
-    point: CompletionTimePair,
+    point: tuple[float, float],
     other_value: float,
-    other_point: CompletionTimePair,
+    other_point: tuple[float, float],
 ) -> bool:
     # Values and points scale with the load alike, so both tolerances scale with the value.
     tol = _TIE_TOL * max(1.0, abs(value))
     same_value = abs(other_value - value) <= tol
-    distinct = abs(other_point.d1 - point.d1) > tol or abs(other_point.d2 - point.d2) > tol
+    distinct = abs(other_point[0] - point[0]) > tol or abs(other_point[1] - point[1]) > tol
     return same_value and distinct
 

@@ -30,17 +30,18 @@ from .types import (
     TrafficLoad,
     _require_finite,
     _require_unit_interval,
+    _slot_setters,
     _user_index,
 )
 
-# Solo phases shorter than this are dropped entirely, as are spliced phases in `compose`.
+# `synthesize` drops a solo phase shorter than this; `compose` drops only an empty one.
 _MIN_DURATION = 1e-12
 _BIT_TOL = 1e-9
 _BOTH = frozenset((1, 2))  # the user sets of a shared phase and of each solo phase
 _SOLO = (frozenset((1,)), frozenset((2,)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Phase:
     """One constant-rate interval; inactive users are silent (rate exactly 0)."""
 
@@ -48,23 +49,26 @@ class Phase:
     rates: RatePair
     active_users: frozenset[int]
 
-    def __post_init__(self) -> None:
-        duration = self.duration
+    def __init__(self, duration: float, rates: RatePair, active_users: frozenset[int]) -> None:
         if type(duration) is not float or not 0.0 <= duration < math.inf:  # in range: pass
             duration = _require_finite("duration", duration)
             if duration < 0.0:
                 raise ValueError(f"phase duration must be >= 0, got {duration}")
-            object.__setattr__(self, "duration", duration)
-        users = self.active_users
+        users = active_users
         if users is not _BOTH and users is not _SOLO[0] and users is not _SOLO[1]:
             users = _user_set(users)  # an equal set may still hold True or 1.0
-            object.__setattr__(self, "active_users", users)
-        if not isinstance(self.rates, RatePair):
-            raise ValueError(f"rates must be a RatePair, got {self.rates!r}")
-        r1, r2 = self.rates.r1, self.rates.r2
+        if not isinstance(rates, RatePair):
+            raise ValueError(f"rates must be a RatePair, got {rates!r}")
+        r1, r2 = rates.r1, rates.r2
         if r1 != 0.0 and 1 not in users or r2 != 0.0 and 2 not in users:
             user = 1 if r1 != 0.0 and 1 not in users else 2
             raise ValueError(f"inactive user {user} must have rate 0")
+        _set_duration(self, duration)
+        _set_rates(self, rates)
+        _set_users(self, users)
+
+
+_set_duration, _set_rates, _set_users = _slot_setters(Phase)
 
 
 def _user_set(users) -> frozenset[int]:
@@ -84,10 +88,16 @@ def _user_set(users) -> frozenset[int]:
     return frozenset(_user_index("active user", user) for user in users)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Schedule:
+    """Phases run in order from time zero; `achieved` is the pair of completion times they reach."""
+
     phases: tuple[Phase, ...]
     achieved: CompletionTimePair
+
+    def __init__(self, phases: tuple[Phase, ...], achieved: CompletionTimePair) -> None:
+        _set_phases(self, phases)
+        _set_achieved(self, achieved)
 
     def bits_delivered(self, user: int) -> float:
         k = _user_index("user", user) - 1
@@ -95,6 +105,9 @@ class Schedule:
         for p in self.phases:
             bits += p.duration * p.rates.as_tuple()[k]
         return bits
+
+
+_set_phases, _set_achieved = _slot_setters(Schedule)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,9 +157,11 @@ def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:
 
     Shared phases of both inputs are spliced first, then the solo phases,
     with all durations scaled by alpha and 1 - alpha; every user's active
-    window stays contiguous from time zero.  Schedules from opposite
-    sides are rejected: their phase boundaries cannot be aligned, so the
-    spliced decoding windows would no longer be valid.
+    window stays contiguous from time zero.  A phase is kept however short
+    (a shared phase may be the early finisher's only one) and dropped only
+    when its scaled duration is 0, as at alpha = 0 or 1.  Schedules from
+    opposite sides are rejected: their phase boundaries cannot be aligned,
+    so the spliced decoding windows would no longer be valid.
     """
     _require_unit_interval("alpha", alpha)
     da, db = s.achieved, s_prime.achieved
@@ -160,11 +175,7 @@ def compose(s: Schedule, s_prime: Schedule, alpha: float) -> Schedule:
     ] + [(p, p.duration * (1.0 - alpha)) for p in s_prime.phases]
     shared = [(p, t) for p, t in scaled if p.active_users == _BOTH]
     solo = [(p, t) for p, t in scaled if p.active_users != _BOTH]
-    phases = tuple(
-        Phase(t, p.rates, p.active_users)
-        for p, t in shared + solo
-        if t >= _MIN_DURATION
-    )
+    phases = tuple(Phase(t, p.rates, p.active_users) for p, t in shared + solo if t > 0.0)
     achieved = CompletionTimePair(
         alpha * da.d1 + (1.0 - alpha) * db.d1,
         alpha * da.d2 + (1.0 - alpha) * db.d2,

@@ -10,9 +10,9 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-_INF = math.inf  # a global name, read faster than math.inf in every __post_init__
+_INF = math.inf  # a global name, read faster than math.inf in every field check
 
 # Absolute tolerance on constraint slack used by every membership test.  It
 # is sound on the domain the tests and the gated benchmark cover, powers in
@@ -52,13 +52,24 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _require_fields(obj, names: tuple[str, ...], floor: float, rule: str = "") -> None:
-    """Each named field of frozen obj must be a finite float above floor; `rule` words the floor."""
-    for name in names:
-        value = _require_finite(name, getattr(obj, name))  # stored back as an exact float
+def _require_fields(
+    obj, names: tuple[str, ...], values: tuple, floor: float, rule: str = ""
+) -> None:
+    """Store each value in frozen obj's named field as a finite float above floor (`rule`)."""
+    for name, value in zip(names, values):
+        value = _require_finite(name, value)  # stored as an exact float
         if not value > floor:
             raise ValueError(f"{name} must be {rule}, got {value}")
         object.__setattr__(obj, name, value)
+
+
+def _slot_setters(cls) -> tuple:
+    """Each field's slot `__set__`, in field order: it stores a value past the frozen guard.
+
+    A hand-written `__init__` of a frozen, slotted dataclass stores each field with one call,
+    where the generated one looks up `object.__setattr__` and then calls `__post_init__`.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 def _user_index(name: str, value: int) -> int:
@@ -92,10 +103,10 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         p1, p2 = self.p1, self.p2
         if not (type(p1) is type(p2) is float and 0.0 < p1 < _INF and 0.0 < p2 < _INF):
-            _require_fields(self, ("p1", "p2"), 0.0, "> 0 (zero power never completes)")
+            _require_fields(self, ("p1", "p2"), (p1, p2), 0.0, "> 0 (zero power never completes)")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RatePair:
     """A point in rate space, bits per channel use.
 
@@ -107,13 +118,19 @@ class RatePair:
     r1: float
     r2: float
 
-    def __post_init__(self) -> None:
-        r1, r2 = self.r1, self.r2  # for a float, > -5e-324 is >= 0, -0.0 included
-        if not (type(r1) is type(r2) is float and -5e-324 < r1 < _INF and -5e-324 < r2 < _INF):
-            _require_fields(self, ("r1", "r2"), -5e-324, ">= 0")
+    def __init__(self, r1: float, r2: float) -> None:
+        # For a float, > -5e-324 is >= 0, -0.0 included.
+        if type(r1) is type(r2) is float and -5e-324 < r1 < _INF and -5e-324 < r2 < _INF:
+            _set_r1(self, r1)
+            _set_r2(self, r2)
+        else:
+            _require_fields(self, ("r1", "r2"), (r1, r2), -5e-324, ">= 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.r1, self.r2)
+
+
+_set_r1, _set_r2 = _slot_setters(RatePair)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,26 +143,31 @@ class TrafficLoad:
     def __post_init__(self) -> None:
         tau1, tau2 = self.tau1, self.tau2
         if not (type(tau1) is type(tau2) is float and 0.0 < tau1 < _INF and 0.0 < tau2 < _INF):
-            _require_fields(self, ("tau1", "tau2"), 0.0, "> 0")
+            _require_fields(self, ("tau1", "tau2"), (tau1, tau2), 0.0, "> 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CompletionTimePair:
     """A point in completion-time space, channel uses per source unit."""
 
     d1: float
     d2: float
 
-    def __post_init__(self) -> None:
-        d1, d2 = self.d1, self.d2
-        if not (type(d1) is type(d2) is float and 0.0 < d1 < _INF and 0.0 < d2 < _INF):
-            _require_fields(self, ("d1", "d2"), 0.0, "> 0")
+    def __init__(self, d1: float, d2: float) -> None:
+        if type(d1) is type(d2) is float and 0.0 < d1 < _INF and 0.0 < d2 < _INF:
+            _set_d1(self, d1)
+            _set_d2(self, d2)
+        else:
+            _require_fields(self, ("d1", "d2"), (d1, d2), 0.0, "> 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.d1, self.d2)
 
 
-@dataclass(frozen=True, slots=True)
+_set_d1, _set_d2 = _slot_setters(CompletionTimePair)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class HalfPlane:
     """Linear constraint a*x + b*y >= c."""
 
@@ -153,11 +175,14 @@ class HalfPlane:
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if not (type(a) is type(b) is type(c) is float
+    def __init__(self, a: float, b: float, c: float) -> None:
+        if (type(a) is type(b) is type(c) is float
                 and -_INF < a < _INF and -_INF < b < _INF and -_INF < c < _INF):
-            _require_fields(self, ("a", "b", "c"), -_INF)
+            _set_a(self, a)
+            _set_b(self, b)
+            _set_c(self, c)
+        else:
+            _require_fields(self, ("a", "b", "c"), (a, b, c), -_INF)
         if self.a == 0.0 and self.b == 0.0:
             raise ValueError("half-plane normal (a, b) must be nonzero")
 
@@ -166,7 +191,10 @@ class HalfPlane:
         return self.a * x + self.b * y - self.c
 
 
-@dataclass(frozen=True, slots=True)
+_set_a, _set_b, _set_c = _slot_setters(HalfPlane)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ConvexPiece:
     """Intersection of half-planes with an annotated list of corner vertices.
 
@@ -176,3 +204,14 @@ class ConvexPiece:
 
     halfplanes: tuple[HalfPlane, ...]
     vertices: tuple[tuple[str, tuple[float, float]], ...] = ()
+
+    def __init__(
+        self,
+        halfplanes: tuple[HalfPlane, ...],
+        vertices: tuple[tuple[str, tuple[float, float]], ...] = (),
+    ) -> None:
+        _set_halfplanes(self, halfplanes)
+        _set_vertices(self, vertices)
+
+
+_set_halfplanes, _set_vertices = _slot_setters(ConvexPiece)

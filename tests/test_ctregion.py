@@ -463,11 +463,15 @@ def test_equal_time_vertex_cross_check_raises(monkeypatch):
     # A typed error, not an assert, so it also holds under `python -O`.
     import macct.ctregion as ctregion
 
-    monkeypatch.setattr(
-        ctregion, "_map_rate_to_ct", lambda g, load, branch, r: CompletionTimePair(1.0, 2.0)
-    )
+    monkeypatch.setattr(ctregion, "_map_rate_to_ct", lambda g, load, branch, r: (1.0, 2.0))
     with pytest.raises(ConsistencyError, match="point C"):
         equal_time_vertex(CFG33, LOAD_II)
+
+
+def test_overflowing_image_refused_as_a_completion_time():
+    # The branch-1 image of C, Cbar's own check, overflows before the solo floors are built.
+    with pytest.raises(ValueError, match="^d1 must be finite, got inf$"):
+        build_region(ChannelConfig(0.1, 5.0), TrafficLoad(1e308, 1e300))
 
 
 def _near_any_boundary(desc, x, y, eps):

@@ -10,6 +10,7 @@ from macct import (
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
+    Phase,
     RatePair,
     TrafficLoad,
     build_region,
@@ -27,6 +28,7 @@ from macct import (
     objective_d,
     outer_bound,
     point_c,
+    synthesize,
     thresholds,
 )
 from refvals import (
@@ -449,3 +451,43 @@ class TestOneDerivationPerCall:
         assert desc.piece_d1.vertices[-1] == desc.piece_d2.vertices[0] == ("Cbar", cbar.as_tuple())
         assert desc.piece_d1.halfplanes[:2] == desc.piece_d2.halfplanes[:2] == floors
         assert minimax(cfg, load)[1] == cbar
+
+
+class TestOneObjectPerResult:
+    """The closed forms work on float pairs and build a value object only for a
+    point they return."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Calls of each value type's `__init__`, by class name."""
+        counts = dict.fromkeys(("CompletionTimePair", "RatePair", "Phase"), 0)
+        for cls in (CompletionTimePair, RatePair, Phase):
+            real = cls.__init__
+
+            def counting(obj, *args, _real=real, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _real(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("cfg, load", _seeded_instances(count=8))
+    def test_build_region_builds_no_pair(self, built, cfg, load):
+        build_region(cfg, load)
+        assert built["CompletionTimePair"] == 0
+
+    @pytest.mark.parametrize("cfg, load", _seeded_instances(count=8))
+    def test_minimax_builds_its_vertex(self, built, cfg, load):
+        minimax(cfg, load)
+        assert built["CompletionTimePair"] == 1
+
+    @pytest.mark.parametrize("cfg, load", _seeded_instances(count=8)[::3])  # off the boundaries
+    @pytest.mark.parametrize("w", [0.0, 0.2, 0.5, 0.9, 1.0])
+    def test_weighted_optimum_builds_its_point(self, built, cfg, load, w):
+        minimize_weighted_sum(cfg, load, w)
+        assert built["CompletionTimePair"] == 1
+
+    @pytest.mark.parametrize("d", [(1.2, 1.8), (1.8, 1.2), (1.5, 1.5), (ABAR_II[0], 1.0)])
+    def test_synthesize_builds_one_rate_pair_per_phase(self, built, d):
+        plan = synthesize(CFG33, LOAD_II, CompletionTimePair(*d))
+        assert built["RatePair"] == built["Phase"] == len(plan.phases)

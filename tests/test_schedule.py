@@ -217,6 +217,17 @@ class TestCompose:
                     assert validate(cfg, load, out).ok
                     assert ct_contains(cfg, load, out.achieved)
 
+    def test_short_shared_phases_are_kept(self):
+        # The early finisher's only phases are the shared ones, here 1e-300 long.
+        load = TrafficLoad(1e-301, 1.0)
+        s = synthesize(CFG33, load, CompletionTimePair(1e-300, 1e30))
+        s_prime = synthesize(CFG33, load, CompletionTimePair(2e-300, 1e30))
+        assert validate(CFG33, load, s).ok and validate(CFG33, load, s_prime).ok
+        out = compose(s, s_prime, 0.5)
+        assert [p.duration for p in out.phases] == [5e-301, 1e-300, 5e29, 5e29]
+        report = validate(CFG33, load, out)
+        assert report.ok, report.violations
+
     def test_composed_compose_again(self):
         rng = np.random.default_rng(44)
         members = sample_members(rng, CFG33, LOAD_II, 3, "d1<=d2")
