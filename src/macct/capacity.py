@@ -13,6 +13,9 @@ single-user face, are called A and B throughout:
 
     A = (gamma(P1+P2) - gamma(P2), gamma(P2))     # user 2 at full rate
     B = (gamma(P1), gamma(P1+P2) - gamma(P1))     # user 1 at full rate
+
+Each difference is computed as the successive-decoding rate it equals, since
+subtracting the nearly equal logs cancels: gamma(P1/(1+P2)) and gamma(P2/(1+P1)).
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .types import (
     _require_finite,
 )
 
-# (gamma(P1), gamma(P2), gamma(P1+P2)): the pentagon's three face levels.
-Gammas = tuple[float, float, float]
+# (g1, g2, g12, s1, s2) = (gamma(P1), gamma(P2), gamma(P1+P2), gamma(P1/(1+P2)),
+# gamma(P2/(1+P1))): the pentagon's three face levels and its corners' successive-decoding rates.
+Gammas = tuple[float, float, float, float, float]
 
 _LN2 = math.log(2.0)
 
@@ -50,14 +54,16 @@ def gamma(x: float) -> float:
 
 
 def _gammas(cfg: ChannelConfig) -> Gammas:
-    """The channel's `Gammas` triple."""
-    return gamma(cfg.p1), gamma(cfg.p2), gamma(cfg.p1 + cfg.p2)
+    """The channel's `Gammas`; s1 and s2 skip `gamma`'s checks, their arguments are in range."""
+    p1, p2 = cfg.p1, cfg.p2
+    return (gamma(p1), gamma(p2), gamma(p1 + p2),
+            0.5 * math.log1p(p1 / (1.0 + p2)) / _LN2, 0.5 * math.log1p(p2 / (1.0 + p1)) / _LN2)
 
 
 def _corners(g: Gammas) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Corner points A and B, as plain pairs, from the `_gammas` triple."""
-    g1, g2, g12 = g
-    return (g12 - g2, g2), (g1, g12 - g1)
+    """Corner points A = (s1, g2) and B = (g1, s2), as plain pairs, from the `_gammas`."""
+    g1, g2, _, s1, s2 = g
+    return (s1, g2), (g1, s2)
 
 
 def corner_points(cfg: ChannelConfig) -> tuple[RatePair, RatePair]:
@@ -75,7 +81,7 @@ def standard_capacity_region(cfg: ChannelConfig) -> ConvexPiece:
     Vertices run counterclockwise from the origin: O, E (r1 axis), B, A,
     F (r2 axis).
     """
-    g = g1, g2, g12 = _gammas(cfg)
+    g = g1, g2, g12, _, _ = _gammas(cfg)
     a, b = _corners(g)
     halfplanes = (
         HalfPlane(1.0, 0.0, 0.0),       # r1 >= 0

@@ -76,9 +76,9 @@ def constrained_slacks(cfg: ChannelConfig, q: ConstrainedRateQuery) -> dict[str,
 def _membership_slacks(g: Gammas, r1: float, r2: float, c: float) -> tuple[float, float, float]:
     """Slacks of the single-user 1, single-user 2 and sum-rate inequalities.
 
-    g is the `_gammas` triple; the rates and c are floats (numpy scalars pass).
+    g is the channel's `_gammas`; the rates and c are floats (numpy scalars pass).
     """
-    g1, g2, g12 = g
+    g1, g2, g12, _, _ = g
     if c >= 1.0:  # user 1 finishes last
         sum_slack = (c - 1.0) * g1 + g12 - (c * r1 + r2)
     else:  # user 2 finishes last

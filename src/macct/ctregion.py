@@ -10,9 +10,9 @@ those inequalities by its rate's block length: three linear tests, no division.
 The region splits into two convex pieces: D1 on the d1 <= d2 side and D2 on
 d1 >= d2.  Each piece is an intersection of half-planes among
 
-    d1 >= tau1/gamma(P1),  d2 >= tau2/gamma(P2),           (solo floors)
-    [gamma(P1+P2)-gamma(P2)]*d1 + gamma(P2)*d2 >= tau1+tau2    (sum, D1)
-    gamma(P1)*d1 + [gamma(P1+P2)-gamma(P1)]*d2 >= tau1+tau2    (sum, D2)
+    d1 >= tau1/gamma(P1),  d2 >= tau2/gamma(P2),        (solo floors)
+    gamma(P1/(1+P2))*d1 + gamma(P2)*d2 >= tau1+tau2     (sum, D1)
+    gamma(P1)*d1 + gamma(P2/(1+P1))*d2 >= tau1+tau2     (sum, D2)
 
 and which sum constraint is non-redundant depends on where the demand ray
 r2/r1 = tau2/tau1 exits the capacity pentagon (point C):
@@ -20,6 +20,10 @@ r2/r1 = tau2/tau1 exits the capacity pentagon (point C):
     Case I   -- C on the r1 = gamma(P1) face (tau2 relatively small),
     Case II  -- C on the sum-rate face,
     Case III -- C on the r2 = gamma(P2) face.
+
+At c = 1 the region is the pentagon, so the equal-time vertex is Cbar = (t, t)
+with t = max(tau1/gamma(P1), tau2/gamma(P2), (tau1+tau2)/gamma(P1+P2)), and the
+case is the face whose floor attains that max (`_equal_time`).
 
 One rule covers all three cases: D1 holds the pentagon corners (A, B) that
 lie below the demand ray and D2 those above it (`_PIECE_CORNERS`).  A piece
@@ -35,6 +39,7 @@ equal-time vertex Cbar.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
@@ -48,7 +53,6 @@ from .types import (
     _INF,
     ChannelConfig,
     CompletionTimePair,
-    ConsistencyError,
     ConvexPiece,
     HalfPlane,
     RatePair,
@@ -104,23 +108,43 @@ _set_case, _set_piece_d1, _set_piece_d2 = _slot_setters(RegionDescription)
 
 
 def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
-    """Locate point C by the load ratio; ties go to Case I / Case III."""
-    return _cases(_gammas(cfg), load)[0]
+    """Locate point C by the largest c = 1 floor; ties go to Case I / Case III."""
+    return _equal_time(_gammas(cfg), load)[1]
 
 
-def _cases(g: Gammas, load: TrafficLoad) -> tuple[Case, Case | None]:
-    """The load's case, and the case across a boundary the load lies on (else None)."""
-    g1, g2, g12 = g
-    # Case I when tau2/tau1 <= (g12-g1)/g1, Case III when >= g2/(g12-g2), cross-multiplied.
-    lhs1, rhs1 = load.tau2 * g1, load.tau1 * (g12 - g1)
-    lhs3, rhs3 = load.tau2 * (g12 - g2), load.tau1 * g2
-    case = Case.I if lhs1 <= rhs1 else Case.III if lhs3 >= rhs3 else Case.II
-    near_i = abs(lhs1 - rhs1) <= _BOUNDARY_REL_TOL * max(lhs1, rhs1)
-    if not (near_i or abs(lhs3 - rhs3) <= _BOUNDARY_REL_TOL * max(lhs3, rhs3)):
-        return case, None
-    if case is not Case.II:
-        return case, Case.II
-    return case, Case.I if near_i else Case.III
+def _unit_floors(g: Gammas, load: TrafficLoad) -> tuple[float, float, int, float, float, float]:
+    """(tau1, tau2, e, f1, f2, fs): the load over 2**e and its c = 1 floors tau1/g1, tau2/g2 and
+    tau1/g12 + tau2/g12 (a sum of quotients, exact under a user swap).  e is 0 unless a floor
+    overflows; the exact power-of-two scaling then keeps the case and point C finite.
+    """
+    tau1, tau2, e = load.tau1, load.tau2, 0
+    f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
+    if not max(f1, f2, fs) < _INF:
+        e = math.frexp(max(tau1, tau2))[1]
+        tau1, tau2 = math.ldexp(tau1, -e), math.ldexp(tau2, -e)
+        f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
+    return tau1, tau2, e, f1, f2, fs
+
+
+def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None]:
+    """(t, case, adjacent): Cbar = (t, t) with t the largest c = 1 floor (inf beyond the float
+    range), the case whose face's floor attains it, and the runner-up's case when its floor ties
+    t within `_BOUNDARY_REL_TOL` (the load is on that boundary), else None.
+    """
+    _, _, e, f1, f2, fs = _unit_floors(g, load)
+    # Exactly, a solo floor >= fs is the max; where g12 rounds to g1, f1 >= fs holds even when f2
+    # is far larger, so each solo floor is tested against both others.
+    if f1 >= fs and f1 >= f2:
+        case, top = Case.I, f1
+        second, runner_up = (fs, Case.II) if fs >= f2 else (f2, Case.III)
+    elif f2 >= fs:
+        case, top = Case.III, f2
+        second, runner_up = (fs, Case.II) if fs >= f1 else (f1, Case.I)
+    else:
+        case, top = Case.II, fs
+        second, runner_up = (f1, Case.I) if f1 >= f2 else (f2, Case.III)
+    t = _INF if e else top  # the load was scaled only because the max floor overflowed
+    return t, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None
 
 
 def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> RatePair:
@@ -128,20 +152,20 @@ def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> 
 
     `case` selects the exit-face formula and defaults to the load's own
     case.  The formulas of adjacent cases coincide on the classification
-    boundaries, which case-boundary consistency checks exploit.
+    boundaries.
     """
     g = _gammas(cfg)
-    return RatePair(*_point_c(g, load, _cases(g, load)[0] if case is None else case))
+    return RatePair(*_point_c(g, load, _equal_time(g, load)[1] if case is None else case))
 
 
 def _point_c(g: Gammas, load: TrafficLoad, case: Case) -> tuple[float, float]:
-    g1, g2, g12 = g
+    """The load over the c = 1 floor of the case's face, with a solo face's own level exact."""
+    tau1, tau2, _, f1, f2, fs = _unit_floors(g, load)
     if case is Case.I:
-        return g1, (load.tau2 / load.tau1) * g1
+        return g[0], tau2 / f1
     if case is Case.III:
-        return (load.tau1 / load.tau2) * g2, g2
-    scale = g12 / (load.tau1 + load.tau2)
-    return load.tau1 * scale, load.tau2 * scale
+        return tau1 / f2, g[1]
+    return tau1 / fs, tau2 / fs
 
 
 def map_rate_to_ct(
@@ -206,11 +230,11 @@ def _ct_sides(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
     time, nothing is divided, and a failed one (at tol 0) lacks (right - left)/time as a rate.  A
     sum face reads: the late finisher's spare bits cover the early one's lack (nearly equal terms).
     """
-    g1, g2, g12 = g
+    g1, g2, _, s1, s2 = g
     tau1, tau2 = load.tau1, load.tau2
     return (((g1 + tol) * d1, tau1), ((g2 + tol) * d2, tau2),
-            (g2 * d2 - tau2, tau1 - (g12 - g2 + tol) * d1),
-            (g1 * d1 - tau1, tau2 - (g12 - g1 + tol) * d2))
+            (g2 * d2 - tau2, tau1 - (s1 + tol) * d1),
+            (g1 * d1 - tau1, tau2 - (s2 + tol) * d2))
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:
@@ -242,20 +266,8 @@ def _floors(load: TrafficLoad, g1: float, g2: float) -> tuple[HalfPlane, HalfPla
 
 def equal_time_vertex(cfg: ChannelConfig, load: TrafficLoad) -> CompletionTimePair:
     """Cbar: image of point C, the boundary point with d1 = d2."""
-    g = _gammas(cfg)
-    t = _equal_time_vertex(g, load, _cases(g, load)[0])
+    t = _equal_time(_gammas(cfg), load)[0]
     return CompletionTimePair(t, t)
-
-
-def _equal_time_vertex(g: Gammas, load: TrafficLoad, case: Case) -> float:
-    """The common time t of Cbar = (t, t), given the `_gammas` triple and the load's case."""
-    c = _point_c(g, load, case)
-    d1, d2 = d = _map_rate_to_ct(g, load, 1, c)
-    # Both map branches coincide on the demand ray; pin exact equality.
-    t = load.tau1 / c[0]
-    if abs(d1 - t) > 1e-12 * max(1.0, t) or abs(d2 - t) > 1e-9 * max(1.0, t):
-        raise ConsistencyError(f"branch-1 image {d!r} of point C is not ({t!r}, {t!r})")
-    return t
 
 
 def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
@@ -264,15 +276,16 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     Each piece carries the two solo floors, its ordering constraint (a module
     constant), and its sum constraint exactly when it holds a pentagon corner
     (see `_PIECE_CORNERS`); otherwise that constraint is implied by the rest.
-    One `_gammas` triple and its case give the corners, Cbar (as
-    `equal_time_vertex`) and the floors (as `outer_bound`).  Union membership
-    agrees with `ct_contains`.
+    One `_gammas` derivation and `_equal_time` give the corners, Cbar (as
+    `equal_time_vertex`), the case and the floors (as `outer_bound`).  Union
+    membership agrees with `ct_contains`.
     """
     g = _gammas(cfg)
-    case = _cases(g, load)[0]
+    t, case, _ = _equal_time(g, load)
+    if not 0.0 < t < _INF:
+        CompletionTimePair(t, t)  # raises the value type's ValueError
     a, b = _corners(g)
     corners = {"A": a, "B": b}
-    t = _equal_time_vertex(g, load, case)
     cbar = ("Cbar", (t, t))
     floor1, floor2 = _floors(load, g[0], g[1])
     pieces = []

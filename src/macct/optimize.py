@@ -12,7 +12,7 @@ a monotone fractional function over the pentagon slice on that branch's
 side of the demand ray.  Its minimum sits at one of the dominant extreme
 points A, B or C, and which one wins flips at a single weight threshold:
 
-    w1 = (gamma(P1+P2) - gamma(P2)) / gamma(P1+P2)   (branch 1 rows)
+    w1 = gamma(P1/(1+P2)) / gamma(P1+P2)             (branch 1 rows)
     w2 = gamma(P1) / gamma(P1+P2)                    (branch 2 rows)
     w3 = tau1 / (tau1 + tau2)                        (full-region, Case II)
 
@@ -24,17 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .capacity import Gammas, _corners, _gammas, gamma
-from .ctregion import (
-    _PIECE_CORNERS,
-    Case,
-    _cases,
-    _equal_time_vertex,
-    _map_rate_to_ct,
-    _point_c,
-)
+from .ctregion import _PIECE_CORNERS, Case, _equal_time, _map_rate_to_ct
 from .types import (
     ChannelConfig,
     CompletionTimePair,
@@ -48,7 +40,6 @@ from .types import (
 
 _TIE_TOL = 1e-12
 _BOUNDARY_VALUE_TOL = 1e-9
-_OPTIMAL_VALUE = attrgetter("optimal_value")
 
 # Table rows: ((branch, label) for w up to the threshold, (branch, label)
 # above it, threshold name), read off the corners each piece holds.  A
@@ -124,10 +115,9 @@ def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
 
 def _threshold(g: Gammas, load: TrafficLoad, name: str) -> float:
     """The switching weight called name: "w1", "w2" or "w3"."""
-    g1, g2, g12 = g
     if name == "w3":
         return load.tau1 / (load.tau1 + load.tau2)
-    return (g12 - g2) / g12 if name == "w1" else g1 / g12
+    return (g[3] if name == "w1" else g[0]) / g[2]
 
 
 def objective_d(
@@ -151,76 +141,65 @@ def minimize_subregion(
     """Minimize w*d1 + (1-w)*d2 over one convex piece of the region."""
     _require_unit_interval("weight", w)
     branch = _user_index("branch", branch)
-    return _cross_checked(
-        "sub-region minimum", cfg, load, _OPTIMAL_VALUE,
-        lambda g, load, case: _solve(g, load, w, case, _SUBREGION_ROWS[branch, case]),
-    )[0]
+    return _cross_checked("sub-region minimum", cfg, load, w,
+                          lambda case: _SUBREGION_ROWS[branch, case])
 
 
 def minimize_weighted_sum(cfg: ChannelConfig, load: TrafficLoad, w: float) -> WeightedSumSolution:
     """Minimize w*d1 + (1-w)*d2 over the whole (possibly non-convex) region."""
     _require_unit_interval("weight", w)
-    return _cross_checked(
-        "weighted-sum minimum", cfg, load, _OPTIMAL_VALUE,
-        lambda g, load, case: _solve(g, load, w, case, _FULL_ROWS[case]),
-    )[0]
+    return _cross_checked("weighted-sum minimum", cfg, load, w, lambda case: _FULL_ROWS[case])
 
 
 def minimax(cfg: ChannelConfig, load: TrafficLoad) -> tuple[float, CompletionTimePair]:
-    """Smallest achievable max(d1, d2), attained at the equal-time vertex.
+    """Smallest achievable max(d1, d2), attained at the equal-time vertex Cbar = (t, t).
 
-    The vertex comes from the `_gammas` triple and the case that gave the value.
+    t is the largest c = 1 floor, whatever the case, so nothing needs a cross-check.
     """
-    value, g, case = _cross_checked("minimax value", cfg, load, float, _minimax_value)
-    t = _equal_time_vertex(g, load, case)
-    return value, CompletionTimePair(t, t)
-
-
-def _minimax_value(g: Gammas, load: TrafficLoad, case: Case) -> float:
-    return load.tau1 / _point_c(g, load, case)[0]
+    t = _equal_time(_gammas(cfg), load)[0]
+    return t, CompletionTimePair(t, t)
 
 
 def _cross_checked(
-    what: str, cfg: ChannelConfig, load: TrafficLoad, value: Callable, solve: Callable
-):
-    """(solve(g, load, case), g, case) for the `_gammas` triple g and the load's case.
+    what: str, cfg: ChannelConfig, load: TrafficLoad, w: float, row: Callable[[Case], _Row]
+) -> WeightedSumSolution:
+    """The row(case) solution for the load's case, from one `_gammas` and one `_equal_time`.
 
-    One `_cases` pass gives the case and the adjacent case.  On a
-    classification boundary the adjacent case's formulas hold as well, so
+    On a classification boundary the adjacent case's row holds as well, so
     its solution must have the same value.
     """
     g = _gammas(cfg)
-    case, adjacent = _cases(g, load)
-    solution = solve(g, load, case)
+    t, case, adjacent = _equal_time(g, load)
+    solution = _solve(g, load, w, t, row(case))
     if adjacent is not None:
-        primary, alternate = value(solution), value(solve(g, load, adjacent))
+        primary = solution.optimal_value
+        alternate = _solve(g, load, w, t, row(adjacent)).optimal_value
         if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * max(1.0, abs(primary)):
             raise ConsistencyError(
                 f"{what} disagrees across the case boundary: {primary!r} vs {alternate!r}"
             )
-    return solution, g, case
+    return solution
 
 
-def _solve(g: Gammas, load: TrafficLoad, w: float, case: Case, row) -> WeightedSumSolution:
-    """The row's low cell for w up to its threshold, else its high cell."""
+def _solve(g: Gammas, load: TrafficLoad, w: float, t: float, row: _Row) -> WeightedSumSolution:
+    """The row's low cell for w up to its threshold, else its high cell; C's image is (t, t)."""
     low, high, threshold = row
     cell, other = (low, high) if w <= _threshold(g, load, threshold) else (high, low)
-    value, point = _evaluate_cell(g, load, w, case, *cell)
-    other_value, other_point = _evaluate_cell(g, load, w, case, *other)
+    value, point = _evaluate_cell(g, load, w, t, *cell)
+    other_value, other_point = _evaluate_cell(g, load, w, t, *other)
     tie = _is_tie(value, point, other_value, other_point)
     return WeightedSumSolution(w, value, CompletionTimePair(*point), cell[1], cell[0], tie)
 
 
 def _evaluate_cell(
-    g: Gammas, load: TrafficLoad, w: float, case: Case, branch: int, label: str
+    g: Gammas, load: TrafficLoad, w: float, t: float, branch: int, label: str
 ) -> tuple[float, tuple[float, float]]:
     """The cell's objective value and its point (d1, d2)."""
     if label == "C":
-        r = _point_c(g, load, case)
+        d1, d2 = d = t, t
     else:
         a, b = _corners(g)
-        r = a if label == "A" else b
-    d1, d2 = d = _map_rate_to_ct(g, load, branch, r)
+        d1, d2 = d = _map_rate_to_ct(g, load, branch, a if label == "A" else b)
     return w * d1 + (1.0 - w) * d2, d
 
 

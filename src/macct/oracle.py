@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import _gammas, region_contains, standard_capacity_region
-from .ctregion import RegionDescription, build_region, ct_contains_grid, point_c
+from .ctregion import RegionDescription, _equal_time, build_region, ct_contains_grid, point_c
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -95,11 +95,11 @@ def default_grid(cfg: ChannelConfig, load: TrafficLoad, resolution: int = 2001) 
     """Box [0.9 * min solo floor, 4 * equal-time optimum] per axis.
 
     At c = 1 the constrained region is the pentagon, so (t, t) is achievable
-    exactly when t >= max(tau1/g1, tau2/g2, (tau1+tau2)/g12).
+    exactly when t >= max(tau1/g1, tau2/g2, (tau1+tau2)/g12), the largest of
+    its definitional floors (`_equal_time`).
     """
-    g1, g2, g12 = _gammas(cfg)
-    floor1, floor2 = load.tau1 / g1, load.tau2 / g2
-    box = 0.9 * min(floor1, floor2), 4.0 * max(floor1, floor2, (load.tau1 + load.tau2) / g12)
+    g = _gammas(cfg)
+    box = 0.9 * min(load.tau1 / g[0], load.tau2 / g[1]), 4.0 * _equal_time(g, load)[0]
     return GridSpec(resolution, box, box)
 
 

@@ -110,3 +110,21 @@ def sample_members(
         if ct_contains(cfg, load, d):
             out.append(d)
     return out
+
+
+# Log-uniform (power range, load range) domains: the range the benchmark's
+# closed-form workload draws from, a wide one, and one near the float range.
+DOMAINS = {
+    "moderate": ((1e-2, 1e4), (1e-2, 1e2)),
+    "wide": ((1e-8, 1e8), (1e-6, 1e6)),
+    "extreme": ((1e-40, 1e40), (1e-200, 1e200)),
+}
+
+
+def log_uniform_instances(rng: np.random.Generator, domain: str, count: int):
+    """`count` (cfg, load) pairs with every power and load log-uniform on the domain."""
+    (p_lo, p_hi), (t_lo, t_hi) = DOMAINS[domain]
+    powers = np.exp(rng.uniform(np.log(p_lo), np.log(p_hi), (count, 2)))
+    loads = np.exp(rng.uniform(np.log(t_lo), np.log(t_hi), (count, 2)))
+    return [(ChannelConfig(float(p1), float(p2)), TrafficLoad(float(t1), float(t2)))
+            for (p1, p2), (t1, t2) in zip(powers, loads)]

@@ -6,7 +6,6 @@ from macct import (
     Case,
     ChannelConfig,
     CompletionTimePair,
-    ConsistencyError,
     InfeasibleError,
     Phase,
     RatePair,
@@ -42,10 +41,12 @@ from refvals import (
     BBARP_III,
     CBAR_II,
     CFG33,
+    DOMAINS,
     LOAD_I,
     LOAD_II,
     LOAD_III,
     REFERENCE_INSTANCES,
+    log_uniform_instances,
     random_instance,
     sample_members,
 )
@@ -459,13 +460,30 @@ def test_equal_time_vertex_matches_minimax_shape():
         assert ct_contains(cfg, load, v)
 
 
-def test_equal_time_vertex_cross_check_raises(monkeypatch):
-    # A typed error, not an assert, so it also holds under `python -O`.
-    import macct.ctregion as ctregion
+def test_both_branch_maps_send_point_c_to_cbar():
+    # The identity behind Cbar = (t, t), with t the largest c = 1 floor: point C's image on
+    # either branch is (t, t).  A C coordinate whose product with a solo level is below the
+    # normal range keeps fewer bits than that, so such extreme instances are skipped.
+    import math
+    import sys
 
-    monkeypatch.setattr(ctregion, "_map_rate_to_ct", lambda g, load, branch, r: (1.0, 2.0))
-    with pytest.raises(ConsistencyError, match="point C"):
-        equal_time_vertex(CFG33, LOAD_II)
+    from macct.capacity import _gammas
+    from macct.ctregion import _equal_time, _map_rate_to_ct, _point_c
+
+    rng = np.random.default_rng(3)
+    for domain in DOMAINS:
+        checked = 0
+        for cfg, load in log_uniform_instances(rng, domain, 300):
+            g = _gammas(cfg)
+            t, case, _ = _equal_time(g, load)
+            c = _point_c(g, load, case)
+            if min(c) * min(g[0], g[1]) < sys.float_info.min:
+                continue
+            checked += 1
+            for branch in (1, 2):
+                for d in _map_rate_to_ct(g, load, branch, c):
+                    assert abs(d - t) <= 4 * math.ulp(t), (domain, cfg, load, branch)
+        assert checked >= 250, domain
 
 
 def test_overflowing_image_refused_as_a_completion_time():

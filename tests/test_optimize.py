@@ -325,21 +325,21 @@ def test_case_boundary_instances_self_check():
         assert ct_contains(CFG33, load, out.optimizer_point)
 
 
-def test_case_boundary_disagreement_raises(monkeypatch):
+def _swap_cells(monkeypatch, case):
+    """Perturb one case's weighted-sum row: at w = 0 it picks its other cell."""
     import macct.optimize as optimize
 
-    exact = optimize._minimax_value
+    low, high, threshold = optimize._FULL_ROWS[case]
+    monkeypatch.setitem(optimize._FULL_ROWS, case, (high, low, threshold))
 
-    def perturbed(g, load, case):  # Case II's formula, off by one part in a million
-        value = exact(g, load, case)
-        return value * (1.0 + 1e-6) if case is Case.II else value
 
-    monkeypatch.setattr(optimize, "_minimax_value", perturbed)
+def test_case_boundary_disagreement_raises(monkeypatch):
     g1, g12 = gamma(3.0), gamma(6.0)
-    assert minimax(CFG33, LOAD_I)[0] == pytest.approx(CBAR_I, rel=1e-12)  # off every boundary
+    want = minimize_weighted_sum(CFG33, LOAD_I, 0.0)
+    _swap_cells(monkeypatch, Case.II)
+    assert minimize_weighted_sum(CFG33, LOAD_I, 0.0) == want  # off every boundary
     with pytest.raises(ConsistencyError, match="disagrees across the case boundary"):
-        minimax(CFG33, TrafficLoad(g1, g12 - g1))  # on the I/II boundary
-
+        minimize_weighted_sum(CFG33, TrafficLoad(g1, g12 - g1), 0.0)  # on the I/II boundary
 
 
 @pytest.mark.parametrize("side, perturbed_case", [(1, Case.I), (3, Case.III)])
@@ -350,26 +350,24 @@ def test_case_ii_load_is_cross_checked_against_the_case_across_the_boundary(
     # Case III, not against Case II itself.
     import macct.optimize as optimize
     from macct.capacity import _gammas
-    from macct.ctregion import _cases
+    from macct.ctregion import _equal_time
 
-    g1, g2, g12 = _gammas(CFG33)
+    g = _gammas(CFG33)
+    g1, g2, g12 = g[:3]
     if side == 1:  # just above the I/II boundary ratio (g12 - g1)/g1
         load = TrafficLoad(1.0, (g12 - g1) / g1 * (1.0 + 1e-13))
     else:  # just below the II/III boundary ratio g2/(g12 - g2)
         load = TrafficLoad((g12 - g2) / g2 * (1.0 + 1e-13), 1.0)
-    assert _cases(_gammas(CFG33), load) == (Case.II, perturbed_case)
-    exact = optimize._minimax_value
-    value = minimax(CFG33, load)[0]
-
-    def perturbed(g, load, case):  # the adjacent case's formula, off by one part in a million
-        value = exact(g, load, case)
-        return value * (1.0 + 1e-6) if case is perturbed_case else value
-
-    monkeypatch.setattr(optimize, "_minimax_value", perturbed)
+    t, case, adjacent = _equal_time(g, load)
+    assert (case, adjacent) == (Case.II, perturbed_case)
+    value, want_ii = (minimize_weighted_sum(CFG33, x, 0.0) for x in (load, LOAD_II))
+    adjacent_row = optimize._FULL_ROWS[perturbed_case]
+    assert value.optimal_value == pytest.approx(
+        optimize._solve(g, load, 0.0, t, adjacent_row).optimal_value, rel=1e-12)
+    _swap_cells(monkeypatch, perturbed_case)
     with pytest.raises(ConsistencyError, match="disagrees across the case boundary"):
-        minimax(CFG33, load)
-    assert minimax(CFG33, LOAD_II)[0] == exact(_gammas(CFG33), LOAD_II, Case.II)
-    assert value == pytest.approx(exact(_gammas(CFG33), load, perturbed_case), rel=1e-12)
+        minimize_weighted_sum(CFG33, load, 0.0)
+    assert minimize_weighted_sum(CFG33, LOAD_II, 0.0) == want_ii
 
 
 def _random_branch_point(rng, cfg, load, branch):

@@ -12,6 +12,9 @@ in 50-digit arithmetic.  A slack decides the verdict only when it lies
 clear of -tol by more than 1e-12 times the sum of the magnitudes of its
 terms (the band): closer than that, the float inputs' own rounding of the
 gammas and the products can carry it to either side.
+
+The pentagon corners A and B, which the closed forms and `ct_contains`
+share, are refereed against a 200-digit difference of gammas.
 """
 
 from __future__ import annotations
@@ -19,7 +22,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from macct import EPS_MEM, ChannelConfig, CompletionTimePair, TrafficLoad, ct_contains, gamma
+from macct import (
+    EPS_MEM,
+    ChannelConfig,
+    CompletionTimePair,
+    TrafficLoad,
+    corner_points,
+    ct_contains,
+    gamma,
+)
+from refvals import DOMAINS, log_uniform_instances
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -101,3 +113,20 @@ def test_ct_contains_matches_the_referee_beyond_the_c_range(tol):
     # both verdicts occur
     assert judged[True] > 100 and judged[False] > 100
     assert sum(judged.values()) > 0.6 * len(pairs)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_corner_rates_match_a_200_digit_difference_of_gammas(domain):
+    # A = (g12 - g2, g2) and B = (g1, g12 - g1).  On the extreme domain a difference keeps
+    # 1e-80 of g12, so the referee subtracts at 200 digits; the library computes each
+    # difference as a successive-decoding rate, with no subtraction.
+    import math
+
+    rng = np.random.default_rng(9)
+    with mpmath.workdps(200):
+        for cfg, _ in log_uniform_instances(rng, domain, 200):
+            p1, p2 = mpmath.mpf(cfg.p1), mpmath.mpf(cfg.p2)
+            g1, g2, g12 = (mpmath.log1p(p) / (2 * mpmath.log(2)) for p in (p1, p2, p1 + p2))
+            a, b = corner_points(cfg)
+            for got, want in ((a.r1, g12 - g2), (a.r2, g2), (b.r1, g1), (b.r2, g12 - g1)):
+                assert abs(got - want) <= 4 * math.ulp(got), (cfg, got, want)
