@@ -189,14 +189,28 @@ def _map_rate_to_ct(
         raise ValueError(f"branch {branch} needs r{branch} > 0 (it divides by r{branch})")
     (r1, r2), tau1, tau2 = r, load.tau1, load.tau2
     if early == 1:
-        g2 = g[1]
-        d1, d2 = tau1 / r1, tau2 / g2 + (g2 - r2) * tau1 / (g2 * r1)
+        d1, d2 = tau1 / r1, _late_time(tau2, g[1], r2, tau1, r1)
     else:
-        g1 = g[0]
-        d1, d2 = tau1 / g1 + (g1 - r1) * tau2 / (g1 * r2), tau2 / r2
+        d1, d2 = _late_time(tau1, g[0], r1, tau2, r2), tau2 / r2
     if not (0.0 < d1 < _INF and 0.0 < d2 < _INF):
         CompletionTimePair(d1, d2)  # raises the value type's ValueError (a time <= 0 or inf)
     return d1, d2
+
+
+def _late_time(tau: float, g: float, r: float, tau_early: float, r_early: float) -> float:
+    """tau/g + (g - r)*tau_early/(g*r_early): the late finisher's bits left after the shared phase
+    of length tau_early/r_early, sent alone at its solo rate g."""
+    try:
+        d = tau / g + (g - r) * tau_early / (g * r_early)
+    except ZeroDivisionError:  # g*r_early underflowed
+        d = _INF
+    if d < _INF:
+        return d
+    # A product left the float range: group the same terms around the shared phase's length.
+    # Its factor (g - r)/g is at most 1 on the pentagon; a factor of 0 leaves no term, even
+    # beside a length that overflowed.
+    share = (g - r) / g
+    return tau / g + share * (tau_early / r_early) if share else tau / g
 
 
 def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:

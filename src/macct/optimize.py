@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .capacity import Gammas, _corners, _gammas, gamma
 from .ctregion import _PIECE_CORNERS, Case, _equal_time, _map_rate_to_ct
 from .types import (
+    _INF,
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
@@ -116,7 +117,10 @@ def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
 def _threshold(g: Gammas, load: TrafficLoad, name: str) -> float:
     """The switching weight called name: "w1", "w2" or "w3"."""
     if name == "w3":
-        return load.tau1 / (load.tau1 + load.tau2)
+        tau1, tau2 = load.tau1, load.tau2
+        if not tau1 + tau2 < _INF:  # halve both: exact, but for a subnormal load whose share is 0
+            tau1, tau2 = 0.5 * tau1, 0.5 * tau2
+        return tau1 / (tau1 + tau2)
     return (g[3] if name == "w1" else g[0]) / g[2]
 
 

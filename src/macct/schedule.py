@@ -34,8 +34,8 @@ from .types import (
     _user_index,
 )
 
-# `synthesize` drops a solo phase shorter than this; `compose` drops only an empty one.
-_MIN_DURATION = 1e-12
+# `validate`'s tolerance on each user's delivered bits and last end time, relative to its load and
+# its completion time, so a schedule and its load scaled by the same power of two pass alike.
 _BIT_TOL = 1e-9
 _BOTH = frozenset((1, 2))  # the user sets of a shared phase and of each solo phase
 _SOLO = (frozenset((1,)), frozenset((2,)))
@@ -124,8 +124,9 @@ def synthesize(
 ) -> Schedule:
     """Build the two-phase schedule achieving a feasible pair d.
 
-    The early finisher runs at tau/d over the shared phase, its only one,
-    which is kept however short; the late finisher's bits are split so the
+    The early finisher runs at tau/d over the shared phase, its only one.
+    Both phases are kept however short; the solo phase is left out only
+    when d1 == d2.  The late finisher's bits are split so the
     solo phase runs as fast as possible (its shared-phase rate is exactly
     0.0 when the solo phase alone suffices; one that meets its solo floor
     only within tol runs at tau/d throughout).  Raises InfeasibleError,
@@ -147,7 +148,7 @@ def synthesize(
         shared_rate, solo_rate = _split(load.tau2, d1, d2, g[1])
         early, late, shared, solo = d1, d2, (load.tau1 / d1, shared_rate), (0.0, solo_rate)
     phases = [Phase(early, RatePair(*shared), _BOTH)]
-    if late - early >= _MIN_DURATION:
+    if late > early:
         phases.append(Phase(late - early, RatePair(*solo), _SOLO[0 if d1 > d2 else 1]))
     return Schedule(tuple(phases), achieved=d)
 
@@ -223,7 +224,7 @@ def validate(
             last2 = end
 
     for user, delivered, tau in ((1, bits1, load.tau1), (2, bits2, load.tau2)):
-        if abs(delivered - tau) > _BIT_TOL:
+        if abs(delivered - tau) > _BIT_TOL * tau:
             violations.append(f"user {user}: delivers {delivered:.12g} bits, load is {tau:.12g}")
     for user, run, last, deadline in ((1, run1, last1, s.achieved.d1),
                                       (2, run2, last2, s.achieved.d2)):
@@ -231,7 +232,7 @@ def validate(
             violations.append(f"user {user}: active phases are not an initial run")
         if last is None:
             violations.append(f"user {user}: never transmits")
-        elif abs(last - deadline) > _BIT_TOL:
+        elif abs(last - deadline) > _BIT_TOL * deadline:
             violations.append(
                 f"user {user}: last nonzero-rate phase ends at "
                 f"{last:.12g}, completion time is {deadline:.12g}"

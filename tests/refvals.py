@@ -17,7 +17,11 @@ loads (1, 0.2), (1, 1) and (0.2, 1) to hit Cases I, II and III.
 
 from __future__ import annotations
 
-import numpy as np
+# numpy is imported inside the sampling helpers: `bench/run.py` loads this file
+# for its reference constants in every set-up, which needs no numpy.
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 from macct import (
     ChannelConfig,
@@ -63,6 +67,8 @@ REFERENCE_INSTANCES = (
 
 def random_instance(rng: np.random.Generator, case: str | None = None):
     """A random channel and, when requested, a load forcing one case."""
+    import numpy as np
+
     p1 = float(np.exp(rng.uniform(np.log(0.2), np.log(50.0))))
     p2 = float(np.exp(rng.uniform(np.log(0.2), np.log(50.0))))
     cfg = ChannelConfig(p1, p2)
@@ -123,6 +129,8 @@ DOMAINS = {
 
 def log_uniform_instances(rng: np.random.Generator, domain: str, count: int):
     """`count` (cfg, load) pairs with every power and load log-uniform on the domain."""
+    import numpy as np
+
     (p_lo, p_hi), (t_lo, t_hi) = DOMAINS[domain]
     powers = np.exp(rng.uniform(np.log(p_lo), np.log(p_hi), (count, 2)))
     loads = np.exp(rng.uniform(np.log(t_lo), np.log(t_hi), (count, 2)))

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import macct.cli as cli
+import refvals
 from macct import CompletionTimePair, ConsistencyError, ct_contains
 from refvals import CBAR_II, CFG33, LOAD_II, VALUE_W02_II
 
@@ -339,6 +341,34 @@ class TestLazyNumpy:
     def test_verify_imports_numpy(self):
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.3", "--verify", "--grid", "64"]
         assert probe(argv) == {"rc": 0, "numpy": True}
+
+    def test_reference_check_does_not_import_numpy(self):
+        # The benchmark's set-up loads tests/refvals.py by path and checks the library against
+        # its frozen values; the sampling helpers import numpy only when they are called.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", _REFVALS_PROBE, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        cfg, load = refvals.random_instance(np.random.default_rng(5), "II")
+        assert got == {"numpy": False, "instance": [cfg.p1, cfg.p2, load.tau1, load.tau2]}
+
+
+_REFVALS_PROBE = """
+import importlib.util, json, sys
+import macct as m
+spec = importlib.util.spec_from_file_location("refvals", sys.argv[1] + "/refvals.py")
+r = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(r)
+m.corner_points(r.CFG33), m.gamma(6.0), m.thresholds(r.CFG33, r.LOAD_II)
+m.minimize_weighted_sum(r.CFG33, r.LOAD_II, 0.2)
+for _, cfg, load in r.REFERENCE_INSTANCES:
+    m.build_region(cfg, load), m.minimax(cfg, load)
+numpy = "numpy" in sys.modules
+import numpy as np
+cfg, load = r.random_instance(np.random.default_rng(5), "II")
+print(json.dumps({"numpy": numpy, "instance": [cfg.p1, cfg.p2, load.tau1, load.tau2]}))
+"""
 
 
 _TYPING_PROBE = """

@@ -5,6 +5,8 @@ three c = 1 floors, so they are exact under a user swap, C cells lie on the
 diagonal, and a load answers unless t itself is beyond the float range.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from macct import (
     classify_case,
     equal_time_vertex,
     gamma,
+    map_rate_to_ct,
     minimax,
     minimize_subregion,
     minimize_weighted_sum,
     point_c,
+    thresholds,
 )
 from refvals import DOMAINS, log_uniform_instances
 
@@ -66,3 +70,34 @@ def test_subnormal_load_ratio_in_case_iii_gives_the_solo_floor():
     assert equal_time_vertex(cfg, load).as_tuple() == (t, t)
     cbar = dict(build_region(cfg, load).piece_d1.vertices)["Cbar"]
     assert cbar == (t, t)
+
+
+def test_overflowing_load_sum_gives_w3_its_share():
+    # tau1 + tau2 overflows; w3 = tau1/(tau1 + tau2) does not.
+    cfg = ChannelConfig(100.0, 100.0)
+    assert thresholds(cfg, TrafficLoad(1e308, 1e308)).w3 == 0.5
+    assert thresholds(cfg, TrafficLoad(2.0**1022, 3 * 2.0**1022)).w3 == 0.25
+    assert thresholds(cfg, TrafficLoad(5e-324, 1.7e308)).w3 == 0.0
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_overflowing_products_keep_the_weighted_optimum(w):
+    # (g2 - r2)*tau1 overflows in B's branch-1 image (d2 about 5.5e307), and its mirror in A's
+    # branch-2 image.  The answer is the unit load's times 1e308.
+    cfg, load, unit = ChannelConfig(100.0, 100.0), TrafficLoad(1e308, 1e308), TrafficLoad(1.0, 1.0)
+    got, want = minimize_weighted_sum(cfg, load, w), minimize_weighted_sum(cfg, unit, w)
+    assert (got.rate_point_label, got.branch, got.tie) == (want.rate_point_label, want.branch,
+                                                          want.tie)
+    assert got.optimal_value == pytest.approx(1e308 * want.optimal_value, rel=1e-15)
+    assert got.optimizer_point.as_tuple() == pytest.approx(
+        tuple(1e308 * x for x in want.optimizer_point.as_tuple()), rel=1e-15)
+
+
+def test_underflowing_branch_product_maps_point_c_to_cbar():
+    # On branch 2, g1*r2 underflows to 0 (7.2e-41 times C's r2 of 7.2e-301).
+    cfg, load = ChannelConfig(1e-40, 1e-40), TrafficLoad(1.0, 1e-260)
+    t = minimax(cfg, load)[0]
+    assert t == pytest.approx(1.386e40, rel=1e-3)
+    for branch in (1, 2):
+        d = map_rate_to_ct(cfg, load, branch, point_c(cfg, load))
+        assert abs(d.d1 - t) <= 4 * math.ulp(t) and abs(d.d2 - t) <= 4 * math.ulp(t), branch

@@ -14,10 +14,15 @@ terms (the band): closer than that, the float inputs' own rounding of the
 gammas and the products can carry it to either side.
 
 The pentagon corners A and B, which the closed forms and `ct_contains`
-share, are refereed against a 200-digit difference of gammas.
+share, are refereed against a 200-digit difference of gammas, and their
+branch-1 and branch-2 images against the branch maps evaluated in 50 digits
+on the same float gammas and corners.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from macct import (
     corner_points,
     ct_contains,
     gamma,
+    map_rate_to_ct,
 )
 from refvals import DOMAINS, log_uniform_instances
 
@@ -120,8 +126,6 @@ def test_corner_rates_match_a_200_digit_difference_of_gammas(domain):
     # A = (g12 - g2, g2) and B = (g1, g12 - g1).  On the extreme domain a difference keeps
     # 1e-80 of g12, so the referee subtracts at 200 digits; the library computes each
     # difference as a successive-decoding rate, with no subtraction.
-    import math
-
     rng = np.random.default_rng(9)
     with mpmath.workdps(200):
         for cfg, _ in log_uniform_instances(rng, domain, 200):
@@ -130,3 +134,40 @@ def test_corner_rates_match_a_200_digit_difference_of_gammas(domain):
             a, b = corner_points(cfg)
             for got, want in ((a.r1, g12 - g2), (a.r2, g2), (b.r1, g1), (b.r2, g12 - g1)):
                 assert abs(got - want) <= 4 * math.ulp(got), (cfg, got, want)
+
+
+def _branch_image(g1, g2, r, tau1, tau2, branch):
+    """The branch map at 50 digits: the early finisher at its rate, the late one's rest solo."""
+    with mpmath.workdps(50):
+        g1, g2, tau1, tau2, r1, r2 = map(mpmath.mpf, (g1, g2, tau1, tau2, *r))
+        if branch == 1:
+            return tau1 / r1, tau2 / g2 + (g2 - r2) * tau1 / (g2 * r1)
+        return tau1 / g1 + (g1 - r1) * tau2 / (g1 * r2), tau2 / r2
+
+
+@pytest.mark.parametrize("domain, top", [("wide", None), ("extreme", None), ("extreme", 1024)])
+def test_corner_images_match_the_50_digit_branch_maps(domain, top):
+    # With top, each load is scaled by a power of two so that the larger lies in
+    # [2**(top-1), 2**top): a product of a load and a rate overflows while most images do not.
+    # An image beyond the float range must be refused with a ValueError.  The referee reads the
+    # library's float gammas and corners, so the rounding of g_i - r_i is not judged here.
+    rng = np.random.default_rng(13)
+    finite = refused = 0
+    for cfg, load in log_uniform_instances(rng, domain, 200):
+        if top is not None:
+            e = top - math.frexp(max(load.tau1, load.tau2))[1]
+            load = TrafficLoad(math.ldexp(load.tau1, e), math.ldexp(load.tau2, e))
+        g1, g2 = gamma(cfg.p1), gamma(cfg.p2)
+        for r in corner_points(cfg):
+            for branch in (1, 2):
+                want = _branch_image(g1, g2, r.as_tuple(), load.tau1, load.tau2, branch)
+                if max(want) > sys.float_info.max:
+                    with pytest.raises(ValueError, match="must be finite, got inf"):
+                        map_rate_to_ct(cfg, load, branch, r)
+                    refused += 1
+                    continue
+                got = map_rate_to_ct(cfg, load, branch, r).as_tuple()
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= 4 * math.ulp(float(y)), (cfg, load, branch, r, got)
+                finite += 1
+    assert finite > 300 and (top is None) == (refused == 0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from macct import (
     compose,
     ct_contains,
     gamma,
+    minimax,
+    minimize_weighted_sum,
     region_contains,
     standard_capacity_region,
     synthesize,
@@ -112,8 +116,9 @@ class TestWideRatios:
 
     def _members(self, rng, n):
         # The early finisher sits just above its solo floor and the late one
-        # finishes 1e12 to 1e18 times later.  Every time stays below 1e6:
-        # validate's end-time and bit tolerances are absolute (1e-9).
+        # finishes 1e12 to 1e18 times later.  validate's tolerances on bits and
+        # end times are relative to each user's load and time, so times of any
+        # size are kept.
         out = []
         while len(out) < n:
             powers = np.exp(rng.uniform(np.log(1e-2), np.log(1e4), 2))
@@ -127,7 +132,7 @@ class TestWideRatios:
             times[early] = floor * float(rng.uniform(1.0, 2.0))
             times[1 - early] = times[early] * float(np.exp(rng.uniform(np.log(1e12), np.log(1e18))))
             d = CompletionTimePair(*times)
-            if d.d2 < 1e6 and d.d1 < 1e6 and ct_contains(cfg, load, d):
+            if ct_contains(cfg, load, d):
                 out.append((cfg, load, d))
         return out
 
@@ -176,6 +181,45 @@ class TestWideRatios:
         assert shared.rates.as_tuple()[late - 1] == solo.rates.as_tuple()[late - 1] == 1.0 / d_late
         report = validate(CFG33, load, synthesize(CFG33, load, d))
         assert report.ok, report.violations
+
+
+class TestLoadScale:
+    """Scaling the load by 2**k scales every time by 2**k exactly, and the schedule with it."""
+
+    @staticmethod
+    def _optimum_schedule(k):
+        # Case II at P = (3, 3); at w = 0.2 the optimum is Abar, where user 1 finishes last.
+        load = TrafficLoad(2.0**k, 1.5 * 2.0**k)
+        d = minimize_weighted_sum(CFG33, load, 0.2).optimizer_point
+        return load, synthesize(CFG33, load, d)
+
+    @pytest.mark.parametrize("k", [-60, 40])
+    def test_optimum_keeps_its_short_solo_phase_and_validates(self, k):
+        # At 2**-60 the solo phase lasts about 5e-19 and user 1 sends 39% of its bits in it.
+        load, s = self._optimum_schedule(k)
+        _, unit = self._optimum_schedule(0)
+        assert [p.duration for p in s.phases] == [math.ldexp(p.duration, k) for p in unit.phases]
+        assert [p.rates for p in s.phases] == [p.rates for p in unit.phases]
+        assert [p.active_users for p in s.phases] == [{1, 2}, {1}]
+        assert validate(CFG33, load, s).ok
+
+    @pytest.mark.parametrize("k", [-60, 0, 40])
+    def test_schedule_missing_its_solo_phase_is_rejected(self, k):
+        load, s = self._optimum_schedule(k)
+        report = validate(CFG33, load, Schedule(s.phases[:1], s.achieved))
+        assert [v.split(":")[0] for v in report.violations] == ["user 1", "user 1"]
+        assert "delivers" in report.violations[0]
+
+    @pytest.mark.parametrize("k", [-60, 40, 300])
+    def test_random_optima_validate_at_every_scale(self, k):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            cfg, load = random_instance(rng)
+            load = TrafficLoad(math.ldexp(load.tau1, k), math.ldexp(load.tau2, k))
+            w = float(rng.uniform())
+            for d in (minimize_weighted_sum(cfg, load, w).optimizer_point, minimax(cfg, load)[1]):
+                report = validate(cfg, load, synthesize(cfg, load, d))
+                assert report.ok, (cfg, load, w, report.violations)
 
 
 class TestCompose:
