@@ -18,12 +18,12 @@ import json
 import math
 import sys
 
-from .constrained import constrained_slacks
 from .ctregion import (
     boundary_polyline,
     build_region,
     classify_case,
-    ct_query,
+    ct_contains,
+    ct_slacks,
     outer_bound,
 )
 from .oracle import default_grid, oracle_minimax, oracle_weighted_min
@@ -58,9 +58,10 @@ _DEFAULTS: dict[str, Any] = {
 _REQUIRED = ("p1", "p2", "tau1", "tau2")
 
 
-def r12(x: float) -> float:
-    """Round to 12 significant digits for stable serialized output."""
-    return float(f"{float(x):.12g}")
+def r12(x: float) -> float | None:
+    """Round to 12 significant digits for stable output; a non-finite x is None, JSON's null."""
+    x = float(x)
+    return float(f"{x:.12g}") if math.isfinite(x) else None
 
 
 class _CliError(Exception):
@@ -81,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_NON_MEMBER
     except ValueError as err:
-        # e.g. an ill-conditioned d1/d2 ratio rejected by the domain types
+        # e.g. a minimax time beyond the float range, refused by the domain types
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except ConsistencyError as err:
@@ -222,7 +223,7 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     if args.csv:
         print("d1,d2")
         for x, y in polyline:
-            print(f"{r12(x):.12g},{r12(y):.12g}")
+            print(f"{x:.12g},{y:.12g}")
         return EXIT_OK
     bound = outer_bound(cfg, load)
     _emit("region", settings, cfg, load, {
@@ -261,21 +262,18 @@ def _parse_pair(args) -> CompletionTimePair:
 
 def _cmd_check(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     d = _parse_pair(args)
-    tol = settings["tol"]
-    query = ct_query(load, d)
-    slacks = constrained_slacks(cfg, query)
-    binding = min(slacks, key=slacks.get)
-    member = slacks[binding] >= -tol
+    member = ct_contains(cfg, load, d, settings["tol"])
+    slacks = ct_slacks(cfg, load, d)
     _emit("check", settings, cfg, load, {
         "point": _pair(d),
         "member": member,
         "constrained_rates": {
-            "r1": r12(query.rates.r1),
-            "r2": r12(query.rates.r2),
-            "c": r12(query.c),
+            "r1": r12(load.tau1 / d.d1),
+            "r2": r12(load.tau2 / d.d2),
+            "c": r12(d.d1 / d.d2),
         },
         "slacks": {name: r12(s) for name, s in slacks.items()},
-        "binding": binding,
+        "binding": min(slacks, key=slacks.get),
     })
     return EXIT_OK if member else EXIT_NON_MEMBER
 

@@ -6,6 +6,7 @@ A pair (d1, d2) is achievable exactly when the rate pair (tau1/d1, tau2/d2)
 lies in the c-constrained capacity region with c = d1/d2.  `ct_contains`,
 the definitional ground truth for everything else here, multiplies each of
 those inequalities by its rate's block length: three linear tests, no division.
+`ct_slacks` divides each back into a rate slack for `check` and `synthesize`.
 
 The region splits into two convex pieces: D1 on the d1 <= d2 side and D2 on
 d1 >= d2.  Each piece is an intersection of half-planes among
@@ -47,7 +48,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma
-from .constrained import ConstrainedRateQuery, constrained_slacks
+from .constrained import _NAMES
 from .types import (
     EPS_MEM,
     _INF,
@@ -147,15 +148,10 @@ def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None]
     return t, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None
 
 
-def point_c(cfg: ChannelConfig, load: TrafficLoad, case: Case | None = None) -> RatePair:
-    """Intersection of the demand ray r2/r1 = tau2/tau1 with the pentagon boundary.
-
-    `case` selects the exit-face formula and defaults to the load's own
-    case.  The formulas of adjacent cases coincide on the classification
-    boundaries.
-    """
+def point_c(cfg: ChannelConfig, load: TrafficLoad) -> RatePair:
+    """Where the demand ray r2/r1 = tau2/tau1 meets the pentagon face of the load's case."""
     g = _gammas(cfg)
-    return RatePair(*_point_c(g, load, _equal_time(g, load)[1] if case is None else case))
+    return RatePair(*_point_c(g, load, _equal_time(g, load)[1]))
 
 
 def _point_c(g: Gammas, load: TrafficLoad, case: Case) -> tuple[float, float]:
@@ -213,11 +209,6 @@ def _late_time(tau: float, g: float, r: float, tau_early: float, r_early: float)
     return tau / g + share * (tau_early / r_early) if share else tau / g
 
 
-def ct_query(load: TrafficLoad, d: CompletionTimePair) -> ConstrainedRateQuery:
-    """The constrained-rate query (tau1/d1, tau2/d2) at ratio c = d1/d2."""
-    return ConstrainedRateQuery(RatePair(load.tau1 / d.d1, load.tau2 / d.d2), d.d1 / d.d2)
-
-
 def ct_contains(
     cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair, tol: float = EPS_MEM
 ) -> bool:
@@ -241,8 +232,8 @@ def _ct_sides(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
     """(left, right) of the solo floors and of D1's and D2's sum faces, each met as left >= right.
 
     Each is a rate-space inequality times its rate's block length: tol on a rate is tol times its
-    time, nothing is divided, and a failed one (at tol 0) lacks (right - left)/time as a rate.  A
-    sum face reads: the late finisher's spare bits cover the early one's lack (nearly equal terms).
+    time and nothing is divided.  A sum face reads: the late finisher's spare bits cover the early
+    one's lack (nearly equal terms).
     """
     g1, g2, _, s1, s2 = g
     tau1, tau2 = load.tau1, load.tau2
@@ -252,8 +243,17 @@ def _ct_sides(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:
-    """Rate-space slacks of the membership inequalities at d (`ct_query`'s checks apply)."""
-    return constrained_slacks(cfg, ct_query(load, d))
+    """Slacks of the three membership tests at d as rates, nonnegative when met: each `_ct_sides`
+    test at tol 0, left minus right, over its rate's block length (d_i for user i's solo floor,
+    min(d1, d2) for the first finisher's sum face; at d1 == d2, where either face admits the pair,
+    the larger).  So a user swap mirrors them exactly, no c range applies, and a rate tau_i/d_i
+    beyond the float range gives user i -inf.
+    """
+    d1, d2 = d.d1, d.d2
+    (l1, r1), (l2, r2), (l3, r3), (l4, r4) = _ct_sides(_gammas(cfg), load, d1, d2, 0.0)
+    sum_1, sum_2 = (l3 - r3) / d1, (l4 - r4) / d2
+    return dict(zip(_NAMES, ((l1 - r1) / d1, (l2 - r2) / d2,
+                             sum_1 if d1 < d2 else sum_2 if d1 > d2 else max(sum_1, sum_2))))
 
 
 def ct_contains_grid(
@@ -302,6 +302,8 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     corners = {"A": a, "B": b}
     cbar = ("Cbar", (t, t))
     floor1, floor2 = _floors(load, g[0], g[1])
+    half = 1.0 if load.tau1 + load.tau2 < _INF else 0.5  # halved, a sum half-plane is the same set
+    total = half * load.tau1 + half * load.tau2
     pieces = []
     # D1 (d1 <= d2) maps its corners on branch 1 and its sum normal is A; D2
     # (d1 >= d2) maps on branch 2 and its normal is B.  In boundary order Cbar
@@ -311,7 +313,7 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
         (2, _PIECE_CORNERS[case][1], b, _ORDER[1], "bar"),
     ):
         images = [(x + suffix, _map_rate_to_ct(g, load, branch, corners[x])) for x in held]
-        sum_rate = (HalfPlane(*normal, load.tau1 + load.tau2),) if held else ()
+        sum_rate = (HalfPlane(half * normal[0], half * normal[1], total),) if held else ()
         pieces.append(ConvexPiece(
             (floor1, floor2, *sum_rate, order),
             (*images, cbar) if branch == 1 else (cbar, *images),

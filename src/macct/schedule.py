@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .capacity import _gammas
-from .constrained import _NAMES, _infeasible, _membership_slacks, _split, _violations
-from .ctregion import _ct_member, _ct_sides, _ct_tests
+from .constrained import _infeasible, _membership_slacks, _split, _violations
+from .ctregion import _ct_member, _ct_tests, ct_slacks
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -135,11 +135,10 @@ def synthesize(
     g = _gammas(cfg)
     d1, d2 = d.d1, d.d2
     tests = _ct_tests(g, load, d1, d2, tol)
-    if not all(tests):  # name each failed test and the rate it lacks
-        floor1, floor2, sum1, sum2 = _ct_sides(g, load, d1, d2, 0.0)
-        sides = (floor1, d1), (floor2, d2), (sum1, d1) if d1 <= d2 else (sum2, d2)
-        violated = ", ".join(f"{name} violated by {(r - l) / t:.3g}"
-                             for name, ok, ((l, r), t) in zip(_NAMES, tests, sides) if not ok)
+    if not all(tests):  # name each failed test and the rate it lacks, its `ct_slacks` slack
+        slacks = ct_slacks(cfg, load, d).items()
+        violated = ", ".join(f"{name} violated by {-s:.3g}"
+                             for ok, (name, s) in zip(tests, slacks) if not ok)
         raise _infeasible(load.tau1 / d1, load.tau2 / d2, d1 / d2, violated)
     if d1 > d2:  # user 1 finishes last
         shared_rate, solo_rate = _split(load.tau1, d2, d1, g[0])

@@ -10,7 +10,7 @@ import pytest
 
 import macct.cli as cli
 import refvals
-from macct import CompletionTimePair, ConsistencyError, ct_contains
+from macct import CompletionTimePair, ConsistencyError, ct_contains, ct_slacks, gamma
 from refvals import CBAR_II, CFG33, LOAD_II, VALUE_W02_II
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,12 +104,24 @@ class TestGolden:
         assert doc["minimax"]["value"] == float(f"{CBAR_II:.12g}")
 
 
+def strict_json(text):
+    """The JSON document in text; Infinity, -Infinity or NaN is refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestExitCodes:
     def test_member_and_non_member(self, capsys):
         member = ["check", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"]
         assert run(member, capsys)[0] == 0
         assert run(["check", *CASE_FLAGS["case_II"], "1.3", "1.3"], capsys)[0] == 1
         assert run(["check", *CASE_FLAGS["case_II"], "10", "10"], capsys)[0] == 0
+        # c = d1/d2 far beyond the rate-space view's [1e-12, 1e12] still gets a verdict
+        for pair, code in ((["1e13", "1"], 0), (["1e13", "0.5"], 1),
+                           (["1", "1e13"], 0), (["0.5", "1e13"], 1)):
+            assert run(["check", *CASE_FLAGS["case_II"], *pair], capsys)[0] == code, pair
 
     def test_invalid_inputs_exit_2(self, capsys):
         bad = [
@@ -118,7 +130,6 @@ class TestExitCodes:
             ["region", "--p2", "3", "--tau1", "1", "--tau2", "1"],  # p1 missing
             ["minimize", *CASE_FLAGS["case_II"], "--weight", "1.5"],
             ["check", *CASE_FLAGS["case_II"], "-1", "2"],
-            ["check", *CASE_FLAGS["case_II"], "1e13", "1"],  # ill-conditioned ratio
         ]
         for argv in bad:
             rc, _, err = run(argv, capsys)
@@ -141,13 +152,29 @@ class TestExitCodes:
 
     def test_rate_overflow_exit_codes(self, capsys):
         # tau1/d1 overflows: below user 1's solo floor, so `schedule` finds the
-        # pair infeasible, while `check` cannot report an infinite rate
+        # pair infeasible and `check` reports it a non-member, its infinite rate as null
         rc, out, err = run(["schedule", *CASE_FLAGS["case_II"], "5e-324", "1"], capsys)
         assert rc == 1 and out == ""
         assert "single_user_1 violated by inf" in err
         rc, out, err = run(["check", *CASE_FLAGS["case_II"], "5e-324", "1"], capsys)
-        assert rc == 2 and out == ""
-        assert err == "error: r1 must be finite, got inf\n"
+        assert rc == 1 and err == ""
+        doc = strict_json(out)
+        assert doc["member"] is False and doc["binding"] == "single_user_1"
+        assert doc["constrained_rates"]["r1"] is None and doc["slacks"]["single_user_1"] is None
+
+    @pytest.mark.parametrize("tau", ["5e307", "1e308"])
+    def test_region_with_overflowing_box_exits_0(self, tau, capsys):
+        # bbox_scale * minimax overflows, so the polyline's open ends are inf
+        flags = ["--p1", "3", "--p2", "3", "--tau1", tau, "--tau2", tau]
+        rc, out, err = run(["region", *flags, "--csv"], capsys)
+        assert rc == 0 and err == ""
+        rows = out.splitlines()
+        assert rows[0] == "d1,d2" and rows[1].endswith(",inf")
+        rc, out, err = run(["region", *flags], capsys)
+        assert rc == 0 and err == ""
+        doc = strict_json(out)
+        assert doc["bounding_box"] == {"d1_max": None, "d2_max": None}
+        assert doc["boundary_polyline"][0][1] is None
 
     def test_verify_bracket_failure_exit_3(self, capsys, monkeypatch):
         from macct.optimize import WeightedSumSolution
@@ -402,6 +429,30 @@ def test_scalar_paths_do_not_import_typing(argv):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"rc": None if not argv else 0, "typing": False}
+
+
+@pytest.mark.parametrize("domain", refvals.DOMAINS)
+def test_check_member_is_the_library_verdict(domain, capsys):
+    # `check` answers every positive finite pair with exit 0 or 1, its `member` is
+    # `ct_contains`'s, its `binding` the least `ct_slacks` slack, and its document is
+    # strict JSON: a rate, ratio or slack beyond the float range prints as null.
+    rng = np.random.default_rng(11)
+    for cfg, load in refvals.log_uniform_instances(rng, domain, 30):
+        floor1, floor2 = load.tau1 / gamma(cfg.p1), load.tau2 / gamma(cfg.p2)
+        pairs = [(floor1 * a, floor2 * b) for a, b in np.exp(rng.uniform(-0.2, 1.5, (4, 2)))]
+        pairs += [(1.0, 1e-14), (1e-14, 1.0), (floor1, floor1 * 1e-14), (floor2 * 1e14, floor2),
+                  (5e-324, 1.0), (1e300, 1e-300)]
+        flags = ["--p1", repr(cfg.p1), "--p2", repr(cfg.p2),
+                 "--tau1", repr(load.tau1), "--tau2", repr(load.tau2)]
+        for d1, d2 in pairs:
+            d = CompletionTimePair(float(d1), float(d2))
+            rc, out, err = run(["check", *flags, repr(d.d1), repr(d.d2)], capsys)
+            member = ct_contains(cfg, load, d)
+            assert (rc, err) == (0 if member else 1, ""), (cfg, load, d)
+            doc = strict_json(out)
+            assert doc["member"] is member, (cfg, load, d)
+            slacks = ct_slacks(cfg, load, d)
+            assert doc["binding"] == min(slacks, key=slacks.get), (cfg, load, d)
 
 
 class TestRoundTrip:

@@ -13,9 +13,11 @@ import pytest
 from macct import (
     Case,
     ChannelConfig,
+    CompletionTimePair,
     TrafficLoad,
     build_region,
     classify_case,
+    ct_contains,
     equal_time_vertex,
     gamma,
     map_rate_to_ct,
@@ -23,6 +25,7 @@ from macct import (
     minimize_subregion,
     minimize_weighted_sum,
     point_c,
+    region_contains,
     thresholds,
 )
 from refvals import DOMAINS, log_uniform_instances
@@ -78,6 +81,22 @@ def test_overflowing_load_sum_gives_w3_its_share():
     assert thresholds(cfg, TrafficLoad(1e308, 1e308)).w3 == 0.5
     assert thresholds(cfg, TrafficLoad(2.0**1022, 3 * 2.0**1022)).w3 == 0.25
     assert thresholds(cfg, TrafficLoad(5e-324, 1.7e308)).w3 == 0.0
+
+
+def test_overflowing_load_sum_keeps_the_region():
+    # tau1 + tau2 overflows; each piece's sum half-plane is stored halved, which is the same set.
+    cfg, load = ChannelConfig(100.0, 100.0), TrafficLoad(1e308, 1e308)
+    desc = build_region(cfg, load)
+    t = minimax(cfg, load)[0]
+    assert dict(desc.piece_d1.vertices)["Cbar"] == dict(desc.piece_d2.vertices)["Cbar"] == (t, t)
+    verdicts = set()
+    for x, y in [(0.99, 0.99), (1.01, 1.01), (1.5, 0.9), (0.9, 1.5), (1.5, 0.5), (0.5, 1.5),
+                 (1.2, 0.95), (0.95, 1.2)]:
+        d = CompletionTimePair(x * t, y * t)
+        member = ct_contains(cfg, load, d)
+        assert any(region_contains(piece, d.as_tuple()) for _, piece in desc.pieces) == member
+        verdicts.add(member)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 0.7, 1.0])

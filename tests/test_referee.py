@@ -1,7 +1,7 @@
 """`ct_contains` against a 50-digit evaluation of the rate-space inequalities.
 
 The pairs are those whose ratio c = d1/d2 lies in [1e-300, 1e-12] or
-[1e12, 1e300], beyond the range `ct_query` accepts, plus pairs with
+[1e12, 1e300], beyond the range `ConstrainedRateQuery` accepts, plus pairs with
 d1 = 5e-324, whose rate tau1/d1 overflows.  The referee reads the same float
 inputs (p1, p2, tau1, tau2, d1, d2) and evaluates
 
