@@ -36,7 +36,7 @@ from .types import (
 # gamma(P2/(1+P1))): the pentagon's three face levels and its corners' successive-decoding rates.
 Gammas = tuple[float, float, float, float, float]
 
-_LN2 = math.log(2.0)
+_LN4 = 2.0 * math.log(2.0)  # ln 4, exactly twice the float ln 2
 
 
 def gamma(x: float) -> float:
@@ -49,15 +49,16 @@ def gamma(x: float) -> float:
         x = float(x) if isinstance(x, float) else _require_finite("x", x)
         if not 0.0 <= x < math.inf:
             raise ValueError(f"gamma is defined for finite x >= 0, got {x!r}")
-    # log1p keeps full precision for x near 0, where 1 + x would round to 1.
-    return 0.5 * math.log1p(x) / _LN2
+    # log1p keeps full precision near 0, where 1 + x would round to 1.  Dividing once by ln 4
+    # rounds once: gamma(5e-324) is 5e-324, where halving first would round to 0.
+    return math.log1p(x) / _LN4
 
 
 def _gammas(cfg: ChannelConfig) -> Gammas:
     """The channel's `Gammas`; s1 and s2 skip `gamma`'s checks, their arguments are in range."""
     p1, p2 = cfg.p1, cfg.p2
     return (gamma(p1), gamma(p2), gamma(p1 + p2),
-            0.5 * math.log1p(p1 / (1.0 + p2)) / _LN2, 0.5 * math.log1p(p2 / (1.0 + p1)) / _LN2)
+            math.log1p(p1 / (1.0 + p2)) / _LN4, math.log1p(p2 / (1.0 + p1)) / _LN4)
 
 
 def _corners(g: Gammas) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -30,6 +30,7 @@ from .oracle import default_grid, oracle_minimax, oracle_weighted_min
 from .optimize import minimax, minimize_weighted_sum
 from .schedule import synthesize, validate
 from .types import (
+    EPS_MEM,
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
@@ -51,7 +52,7 @@ EXIT_INTERNAL = 4
 
 _DEFAULTS: dict[str, Any] = {
     "db": False,
-    "tol": 1e-9,
+    "tol": EPS_MEM,
     "grid": 2001,
     "bbox_scale": 4.0,
 }
@@ -64,10 +65,6 @@ def r12(x: float) -> float | None:
     return float(f"{x:.12g}") if math.isfinite(x) else None
 
 
-class _CliError(Exception):
-    """Invalid scenario or arguments; message names the offending field."""
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -75,14 +72,12 @@ def main(argv: list[str] | None = None) -> int:
         settings = _resolve_settings(args)
         cfg, load = _scenario(settings)
         return args.handler(args, settings, cfg, load)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_NON_MEMBER
     except ValueError as err:
-        # e.g. a minimax time beyond the float range, refused by the domain types
+        # an invalid setting, named by its field, or a value the domain types refuse
+        # (e.g. a minimax time beyond the float range)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except ConsistencyError as err:
@@ -152,13 +147,13 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
             with open(args.scenario, encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
-            raise _CliError(f"scenario file {args.scenario}: {err}") from err
+            raise ValueError(f"scenario file {args.scenario}: {err}") from err
         if not isinstance(file_values, dict):
-            raise _CliError(f"scenario file {args.scenario}: expected a JSON object")
+            raise ValueError(f"scenario file {args.scenario}: expected a JSON object")
         for key, value in file_values.items():
             name = key.replace("-", "_")
             if name not in (*_REQUIRED, *_DEFAULTS):
-                raise _CliError(f"scenario field {key!r} is not a recognized setting")
+                raise ValueError(f"scenario field {key!r} is not a recognized setting")
             settings[name] = value
     for name in (*_REQUIRED, *_DEFAULTS):
         value = getattr(args, name, None)
@@ -166,31 +161,31 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
             settings[name] = value
     missing = [name for name in _REQUIRED if name not in settings]
     if missing:
-        raise _CliError(f"missing required setting(s): {', '.join(missing)}")
+        raise ValueError(f"missing required setting(s): {', '.join(missing)}")
     return settings
 
 
 def _scenario(settings: dict[str, Any]) -> tuple[ChannelConfig, TrafficLoad]:
     for name in (*_REQUIRED, "tol"):
         if isinstance(settings[name], bool):  # a JSON true/false would pass as 1/0
-            raise _CliError(f"{name}: must be a number, got {settings[name]!r}")
+            raise ValueError(f"{name}: must be a number, got {settings[name]!r}")
     p1, p2 = settings["p1"], settings["p2"]
     db = settings["db"]
     if not isinstance(db, bool):
-        raise _CliError(f"db: must be true or false, got {db!r}")
+        raise ValueError(f"db: must be true or false, got {db!r}")
     try:
         if db:
             p1, p2 = 10.0 ** (p1 / 10.0), 10.0 ** (p2 / 10.0)
         cfg = ChannelConfig(p1, p2)
     except (OverflowError, TypeError, ValueError) as err:
-        raise _CliError(f"channel powers: {err}") from err
+        raise ValueError(f"channel powers: {err}") from err
     try:
         load = TrafficLoad(settings["tau1"], settings["tau2"])
     except (TypeError, ValueError) as err:
-        raise _CliError(f"traffic load: {err}") from err
+        raise ValueError(f"traffic load: {err}") from err
     tol = settings["tol"]
     if not isinstance(tol, (int, float)) or not 0.0 <= tol < 1.0:
-        raise _CliError(f"tol: must be a small nonnegative number, got {tol!r}")
+        raise ValueError(f"tol: must be a small nonnegative number, got {tol!r}")
     return cfg, load
 
 
@@ -215,7 +210,7 @@ def _pair(d: CompletionTimePair) -> dict[str, float]:
 def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     scale = settings["bbox_scale"]
     if not isinstance(scale, (int, float)) or not 1.0 < scale < math.inf:
-        raise _CliError(f"bbox-scale: must be a finite number > 1, got {scale!r}")
+        raise ValueError(f"bbox-scale: must be a finite number > 1, got {scale!r}")
     desc = build_region(cfg, load)
     value, point = minimax(cfg, load)
     box = scale * value
@@ -257,7 +252,7 @@ def _parse_pair(args) -> CompletionTimePair:
     try:
         return CompletionTimePair(args.d1, args.d2)
     except ValueError as err:
-        raise _CliError(f"completion-time pair: {err}") from err
+        raise ValueError(f"completion-time pair: {err}") from err
 
 
 def _cmd_check(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
@@ -282,27 +277,16 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     case = classify_case(cfg, load)
     if args.minimax:
         value, point = minimax(cfg, load)
-        doc = {
-            "mode": "minimax",
-            "value": r12(value),
-            "point": _pair(point),
-            "cell": f"Case {case.value}, Cbar",
-            "tie": False,
-        }
+        doc, cell, tie = {"mode": "minimax"}, "Cbar", False
     else:
         try:
             solution = minimize_weighted_sum(cfg, load, args.weight)
         except ValueError as err:
-            raise _CliError(f"weight: {err}") from err
-        value = solution.optimal_value
-        doc = {
-            "mode": "weighted_sum",
-            "weight": r12(args.weight),
-            "value": r12(value),
-            "point": _pair(solution.optimizer_point),
-            "cell": f"Case {case.value}, D{solution.branch}({solution.rate_point_label})",
-            "tie": solution.tie,
-        }
+            raise ValueError(f"weight: {err}") from err
+        value, point = solution.optimal_value, solution.optimizer_point
+        doc = {"mode": "weighted_sum", "weight": r12(args.weight)}
+        cell, tie = f"D{solution.branch}({solution.rate_point_label})", solution.tie
+    doc.update(value=r12(value), point=_pair(point), cell=f"Case {case.value}, {cell}", tie=tie)
     exit_code = EXIT_OK
     if args.verify:
         spec = default_grid(cfg, load, settings["grid"])  # a bad --grid raises ValueError: exit 2
@@ -312,19 +296,17 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             else oracle_weighted_min(cfg, load, args.weight, spec)
         )
         # The closed form may undercut the grid by at most the gap bound and
-        # exceed it only by membership-tolerance dust.
-        bracket_ok = (
-            report.optimum_value - report.certified_gap_bound - 1e-12
-            <= value
-            <= report.optimum_value + 1e-9
-        )
+        # exceed it only by rounding dust, both slacks relative to the oracle's value.
+        oracle = report.optimum_value
+        lowest = oracle - report.certified_gap_bound - 1e-12 * oracle
+        bracket_ok = lowest <= value <= oracle * (1 + 1e-9)
         doc["verification"] = {
             "resolution": spec.resolution,
             "bounds": {
                 "d1": [r12(spec.d1_bounds[0]), r12(spec.d1_bounds[1])],
                 "d2": [r12(spec.d2_bounds[0]), r12(spec.d2_bounds[1])],
             },
-            "oracle_value": r12(report.optimum_value),
+            "oracle_value": r12(oracle),
             "oracle_point": _pair(report.optimizer),
             "grid_step": r12(report.grid_step),
             "gap_bound": r12(report.certified_gap_bound),

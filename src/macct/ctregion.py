@@ -58,12 +58,12 @@ from .types import (
     HalfPlane,
     RatePair,
     TrafficLoad,
-    _slot_setters,
     _user_index,
 )
 
 
 _BOUNDARY_REL_TOL = 1e-12
+_TINY = 2.2250738585072014e-308  # the smallest normal float
 
 
 class Case(enum.Enum):
@@ -83,7 +83,7 @@ _PIECE_CORNERS: dict[Case, tuple[str, str]] = {
 _ORDER = (HalfPlane(-1.0, 1.0, 0.0), HalfPlane(1.0, -1.0, 0.0))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class RegionDescription:
     """The region as two convex pieces plus the case label.
 
@@ -95,17 +95,9 @@ class RegionDescription:
     piece_d1: ConvexPiece
     piece_d2: ConvexPiece
 
-    def __init__(self, case: Case, piece_d1: ConvexPiece, piece_d2: ConvexPiece) -> None:
-        _set_case(self, case)
-        _set_piece_d1(self, piece_d1)
-        _set_piece_d2(self, piece_d2)
-
     @property
     def pieces(self) -> tuple[tuple[str, ConvexPiece], ...]:
         return (("D1", self.piece_d1), ("D2", self.piece_d2))
-
-
-_set_case, _set_piece_d1, _set_piece_d2 = _slot_setters(RegionDescription)
 
 
 def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
@@ -113,18 +105,20 @@ def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
     return _equal_time(_gammas(cfg), load)[1]
 
 
-def _unit_floors(g: Gammas, load: TrafficLoad) -> tuple[float, float, int, float, float, float]:
-    """(tau1, tau2, e, f1, f2, fs): the load over 2**e and its c = 1 floors tau1/g1, tau2/g2 and
-    tau1/g12 + tau2/g12 (a sum of quotients, exact under a user swap).  e is 0 unless a floor
-    overflows; the exact power-of-two scaling then keeps the case and point C finite.
+def _unit_floors(g: Gammas, load: TrafficLoad) -> tuple[float, float, float, float, float, float]:
+    """(tau1, tau2, t, f1, f2, fs): the load over a power of two, its c = 1 floors tau1/g1, tau2/g2
+    and tau1/g12 + tau2/g12 (a sum of quotients, exact under a user swap), and t, the largest
+    floor of the load itself.  The load is kept unless t overflows or falls below the normal
+    range; the exact power-of-two scaling then keeps the case and point C finite and precise.
     """
-    tau1, tau2, e = load.tau1, load.tau2, 0
+    tau1, tau2 = load.tau1, load.tau2
     f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
-    if not max(f1, f2, fs) < _INF:
+    t = max(f1, f2, fs)
+    if not _TINY <= t < _INF:
         e = math.frexp(max(tau1, tau2))[1]
         tau1, tau2 = math.ldexp(tau1, -e), math.ldexp(tau2, -e)
         f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
-    return tau1, tau2, e, f1, f2, fs
+    return tau1, tau2, t, f1, f2, fs
 
 
 def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None]:
@@ -132,7 +126,7 @@ def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None]
     range), the case whose face's floor attains it, and the runner-up's case when its floor ties
     t within `_BOUNDARY_REL_TOL` (the load is on that boundary), else None.
     """
-    _, _, e, f1, f2, fs = _unit_floors(g, load)
+    _, _, t, f1, f2, fs = _unit_floors(g, load)
     # Exactly, a solo floor >= fs is the max; where g12 rounds to g1, f1 >= fs holds even when f2
     # is far larger, so each solo floor is tested against both others.
     if f1 >= fs and f1 >= f2:
@@ -144,7 +138,6 @@ def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None]
     else:
         case, top = Case.II, fs
         second, runner_up = (f1, Case.I) if f1 >= f2 else (f2, Case.III)
-    t = _INF if e else top  # the load was scaled only because the max floor overflowed
     return t, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None
 
 
@@ -194,19 +187,11 @@ def _map_rate_to_ct(
 
 
 def _late_time(tau: float, g: float, r: float, tau_early: float, r_early: float) -> float:
-    """tau/g + (g - r)*tau_early/(g*r_early): the late finisher's bits left after the shared phase
-    of length tau_early/r_early, sent alone at its solo rate g."""
-    try:
-        d = tau / g + (g - r) * tau_early / (g * r_early)
-    except ZeroDivisionError:  # g*r_early underflowed
-        d = _INF
-    if d < _INF:
-        return d
-    # A product left the float range: group the same terms around the shared phase's length.
-    # Its factor (g - r)/g is at most 1 on the pentagon; a factor of 0 leaves no term, even
-    # beside a length that overflowed.
+    """tau/g + ((g - r)/g)*(tau_early/r_early): the late finisher's bits left after the shared
+    phase of length tau_early/r_early, sent alone at its solo rate g.  No two loads or rates are
+    multiplied and the share (g - r)/g is at most 1, so it holds on the whole float range."""
     share = (g - r) / g
-    return tau / g + share * (tau_early / r_early) if share else tau / g
+    return tau / g + share * (tau_early / r_early) if share else tau / g  # not 0*inf = nan
 
 
 def ct_contains(

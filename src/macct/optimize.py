@@ -178,7 +178,7 @@ def _cross_checked(
     if adjacent is not None:
         primary = solution.optimal_value
         alternate = _solve(g, load, w, t, row(adjacent)).optimal_value
-        if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * max(1.0, abs(primary)):
+        if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * primary:  # optima are positive
             raise ConsistencyError(
                 f"{what} disagrees across the case boundary: {primary!r} vs {alternate!r}"
             )
@@ -213,8 +213,9 @@ def _is_tie(
     other_value: float,
     other_point: tuple[float, float],
 ) -> bool:
-    # Values and points scale with the load alike, so both tolerances scale with the value.
-    tol = _TIE_TOL * max(1.0, abs(value))
+    # Values and points scale with the load alike, so both tolerances scale with the (positive)
+    # value: the flag is the same for any load times a power of two.
+    tol = _TIE_TOL * value
     same_value = abs(other_value - value) <= tol
     distinct = abs(other_point[0] - point[0]) > tol or abs(other_point[1] - point[1]) > tol
     return same_value and distinct

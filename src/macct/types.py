@@ -194,7 +194,7 @@ class HalfPlane:
 _set_a, _set_b, _set_c = _slot_setters(HalfPlane)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ConvexPiece:
     """Intersection of half-planes with an annotated list of corner vertices.
 
@@ -204,14 +204,3 @@ class ConvexPiece:
 
     halfplanes: tuple[HalfPlane, ...]
     vertices: tuple[tuple[str, tuple[float, float]], ...] = ()
-
-    def __init__(
-        self,
-        halfplanes: tuple[HalfPlane, ...],
-        vertices: tuple[tuple[str, tuple[float, float]], ...] = (),
-    ) -> None:
-        _set_halfplanes(self, halfplanes)
-        _set_vertices(self, vertices)
-
-
-_set_halfplanes, _set_vertices = _slot_setters(ConvexPiece)

@@ -7,6 +7,7 @@ resolution and bounds of an oracle grid.
 """
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -274,7 +275,7 @@ GAMMA = (
     'float 0.6609640474436812',  # 1.5
     'float 0.0',  # 0.0
     'float -0.0',  # -0.0
-    'float 0.0',  # 5e-324
+    'float 5e-324',  # 5e-324
     'float 512.0',  # 1.7976931348623157e308
     'ValueError: gamma is defined for finite x >= 0, got -1.0',  # -1.0
     'ValueError: gamma is defined for finite x >= 0, got inf',  # inf
@@ -301,10 +302,11 @@ def test_phase_duration_domain():
 
 def test_gamma_domain():
     assert tuple(_call_outcome(gamma, v) for v in DOMAIN_INPUTS) == GAMMA
-    # the fast path divides by a stored log(2): the same operation, bit for bit
+    # one division by ln 4 is 0.5*log1p(x)/ln 2, bit for bit, wherever the half is normal
     rng = np.random.default_rng(11)
     for x in [*np.exp(rng.uniform(-700.0, 709.0, 2000)), *rng.uniform(0.0, 1e-300, 50)]:
         x = float(x)
+        assert 0.5 * math.log1p(x) >= sys.float_info.min, x
         assert gamma(x) == 0.5 * math.log1p(x) / math.log(2.0), x
 
 

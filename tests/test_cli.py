@@ -230,6 +230,33 @@ class TestExitCodes:
         assert doc["validation"] == "fail"
         assert doc["violations"] == ["achieved pair differs"]
 
+    @pytest.mark.parametrize("tau", ["1", "1e-12", "1e-18"])
+    def test_verify_refuses_a_doubled_closed_form_at_any_load(self, tau, capsys, monkeypatch):
+        # The bracket's slacks are relative to the oracle's value, so a closed form twice the
+        # optimum fails however small the load.
+        import dataclasses
+
+        honest = cli.minimize_weighted_sum
+
+        def doubled(cfg, load, w):
+            solution = honest(cfg, load, w)
+            return dataclasses.replace(solution, optimal_value=2.0 * solution.optimal_value)
+
+        monkeypatch.setattr(cli, "minimize_weighted_sum", doubled)
+        argv = ["minimize", "--p1", "3", "--p2", "3", "--tau1", tau, "--tau2", tau,
+                "--weight", "0.3", "--verify", "--grid", "101"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == 3
+        assert json.loads(out)["verification"]["bracket_ok"] is False
+
+    @pytest.mark.parametrize("tau", ["1e-12", "1", "1e12"])
+    def test_verify_passes_for_true_solution_at_any_load(self, tau, capsys):
+        argv = ["minimize", "--p1", "3", "--p2", "3", "--tau1", tau, "--tau2", tau,
+                "--weight", "0.3", "--verify", "--grid", "101"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        assert json.loads(out)["verification"]["bracket_ok"] is True
+
     def test_verify_passes_for_true_solution(self, capsys):
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2", "--verify",
                 "--grid", "301"]

@@ -5,6 +5,7 @@ three c = 1 floors, so they are exact under a user swap, C cells lie on the
 diagonal, and a load answers unless t itself is beyond the float range.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,16 +15,20 @@ from macct import (
     Case,
     ChannelConfig,
     CompletionTimePair,
+    ConsistencyError,
     TrafficLoad,
     build_region,
     classify_case,
     ct_contains,
+    default_grid,
+    dominant_extreme_points,
     equal_time_vertex,
     gamma,
     map_rate_to_ct,
     minimax,
     minimize_subregion,
     minimize_weighted_sum,
+    outer_bound,
     point_c,
     region_contains,
     thresholds,
@@ -120,3 +125,55 @@ def test_underflowing_branch_product_maps_point_c_to_cbar():
     for branch in (1, 2):
         d = map_rate_to_ct(cfg, load, branch, point_c(cfg, load))
         assert abs(d.d1 - t) <= 4 * math.ulp(t) and abs(d.d2 - t) <= 4 * math.ulp(t), branch
+
+
+# The calls that derive the gammas and the c = 1 floors of a channel and a load.
+DERIVED = (
+    build_region,
+    minimax,
+    lambda cfg, load: minimize_weighted_sum(cfg, load, 0.3),
+    lambda cfg, load: [minimize_subregion(cfg, load, branch, 0.3) for branch in (1, 2)],
+    classify_case,
+    point_c,
+    outer_bound,
+    default_grid,
+    lambda cfg, load: [dominant_extreme_points(cfg, load, branch) for branch in (1, 2)],
+)
+
+
+# Every gamma of P = (5e-324, 5e-324) rounds to the smallest subnormal, so gamma(P1 + P2) =
+# gamma(P2) while gamma(P1/(1 + P2)) > 0: the float pentagon is not one, and at tau = (5e-324,
+# 1e-300), whose floors tie on the II/III boundary, the two cases' sub-region minima disagree.
+SUBNORMAL_PENTAGON = (5e-324, 5e-324, 5e-324, 1e-300)
+
+
+def test_every_float_answers_or_raises_a_value_error():
+    # gamma(5e-324) is 5e-324, not 0; and when the largest c = 1 floor underflows (P =
+    # (4.3e43, 1.9e120), tau = (5e-324, 4.6e-322)), the case and point C are read off the load
+    # times a power of two.  Nothing divides by zero: each call answers or refuses the input.
+    assert gamma(5e-324) == 5e-324
+    with pytest.raises(ValueError, match="^d1 must be finite, got inf$"):
+        minimax(ChannelConfig(5e-324, 1.0), TrafficLoad(1.0, 1.0))
+    rng = np.random.default_rng(7)
+    draws = np.exp(rng.uniform(math.log(5e-324), math.log(1.7e308), (4000, 4)))
+    grid = itertools.product((5e-324, 1e-300, 1.0, 1e300, 1.7e308), repeat=4)
+    inputs = [*(x for x in grid if x != SUBNORMAL_PENTAGON),
+              (4.297857468058407e43, 1.855043310371351e120, 5e-324, 4.6e-322), *draws.tolist()]
+    for p1, p2, tau1, tau2 in inputs:
+        cfg, load = ChannelConfig(p1, p2), TrafficLoad(tau1, tau2)
+        for call in DERIVED:
+            try:
+                call(cfg, load)
+            except ValueError:
+                pass
+
+
+@pytest.mark.xfail(raises=ConsistencyError, strict=True,
+                   reason="the float gammas of a subnormal channel need not form a pentagon")
+def test_subnormal_pentagon_answers_or_raises_a_value_error():
+    p1, p2, tau1, tau2 = SUBNORMAL_PENTAGON
+    for branch in (1, 2):
+        try:
+            minimize_subregion(ChannelConfig(p1, p2), TrafficLoad(tau1, tau2), branch, 0.3)
+        except ValueError:
+            pass

@@ -314,6 +314,21 @@ def test_optimum_tables_pinned_literally(name, cfg, load):
     check_row(FULL_TABLE[name], partial(minimize_weighted_sum, cfg, load))
 
 
+@pytest.mark.parametrize("name, cfg, load", REFERENCE_INSTANCES)
+def test_tie_label_and_branch_are_the_same_for_the_load_times_a_power_of_two(name, cfg, load):
+    # Values and points scale with the load, so at every threshold each solver picks the same
+    # cell and flags the same tie for tau times 2**k.
+    t = thresholds(cfg, load)
+    for w in (t.w1, t.w2, t.w3):
+        cells = set()
+        for k in (-60, 0, 40):
+            scaled = TrafficLoad(math.ldexp(load.tau1, k), math.ldexp(load.tau2, k))
+            outs = (minimize_weighted_sum(cfg, scaled, w),
+                    *(minimize_subregion(cfg, scaled, branch, w) for branch in (1, 2)))
+            cells.add(tuple((out.tie, out.rate_point_label, out.branch) for out in outs))
+        assert len(cells) == 1, (name, w, cells)
+
+
 def test_case_boundary_instances_self_check():
     g1, g12 = gamma(3.0), gamma(6.0)
     # exactly on the I/II boundary: both case formulas must agree

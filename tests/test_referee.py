@@ -16,7 +16,9 @@ gammas and the products can carry it to either side.
 The pentagon corners A and B, which the closed forms and `ct_contains`
 share, are refereed against a 200-digit difference of gammas, and their
 branch-1 and branch-2 images against the branch maps evaluated in 50 digits
-on the same float gammas and corners.
+on the same float gammas and corners.  The region vertices and the sub-region
+optima the library returns are refereed against a 250-digit evaluation from P
+and tau alone.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from macct import (
     CompletionTimePair,
     TrafficLoad,
     corner_points,
+    build_region,
     ct_contains,
     gamma,
     map_rate_to_ct,
+    minimize_subregion,
 )
 from refvals import DOMAINS, log_uniform_instances
 
@@ -171,3 +175,43 @@ def test_corner_images_match_the_50_digit_branch_maps(domain, top):
                     assert abs(x - y) <= 4 * math.ulp(float(y)), (cfg, load, branch, r, got)
                 finite += 1
     assert finite > 300 and (top is None) == (refused == 0)
+
+
+def _exact_points(cfg: ChannelConfig, load: TrafficLoad) -> dict:
+    """Cbar and each corner's image on each branch, in 250 digits from P and tau alone."""
+    with mpmath.workdps(250):
+        p1, p2, tau1, tau2 = map(mpmath.mpf, (cfg.p1, cfg.p2, load.tau1, load.tau2))
+        g1, g2, g12 = (mpmath.log1p(p) / (2 * mpmath.log(2)) for p in (p1, p2, p1 + p2))
+        t = max(tau1 / g1, tau2 / g2, (tau1 + tau2) / g12)
+        points = {"C": (t, t)}
+        for label, (r1, r2) in (("A", (g12 - g2, g2)), ("B", (g1, g12 - g1))):
+            points[label, 1] = tau1 / r1, tau2 / g2 + (g2 - r2) * tau1 / (g2 * r1)
+            points[label, 2] = tau1 / g1 + (g1 - r1) * tau2 / (g1 * r2), tau2 / r2
+    return points
+
+
+_VERTEX_KEYS = {"Cbar": "C", "Abar'": ("A", 1), "Bbar'": ("B", 1), "Abar": ("A", 2),
+                "Bbar": ("B", 2)}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_region_vertices_and_optima_match_a_250_digit_evaluation(domain):
+    # The images of the corners a region holds keep their digits, although g_i - r_i cancels
+    # in the image of a corner that the region does not hold.
+    rng = np.random.default_rng(3)
+    checked = 0
+    for cfg, load in log_uniform_instances(rng, domain, 200):
+        exact = _exact_points(cfg, load)
+        got = [(_VERTEX_KEYS[label], xy) for _, piece in build_region(cfg, load).pieces
+               for label, xy in piece.vertices]
+        for w in (0.0, 0.5, 1.0):
+            for branch in (1, 2):
+                out = minimize_subregion(cfg, load, branch, w)
+                label = out.rate_point_label
+                got.append(("C" if label == "C" else (label, branch),
+                            out.optimizer_point.as_tuple()))
+        for key, xy in got:
+            for x, want in zip(xy, exact[key]):
+                assert abs(x - want) <= 4 * math.ulp(float(want)), (cfg, load, key, x)
+                checked += 1
+    assert checked > 3000
