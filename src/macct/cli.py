@@ -24,9 +24,8 @@ from .ctregion import (
     classify_case,
     ct_contains,
     ct_slacks,
-    outer_bound,
 )
-from .oracle import default_grid, oracle_minimax, oracle_weighted_min
+from .oracle import _require_resolution, default_grid, oracle_minimax, oracle_weighted_min
 from .optimize import minimax, minimize_weighted_sum
 from .schedule import synthesize, validate
 from .types import (
@@ -50,12 +49,7 @@ EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_INTERNAL = 4
 
-_DEFAULTS: dict[str, Any] = {
-    "db": False,
-    "tol": EPS_MEM,
-    "grid": 2001,
-    "bbox_scale": 4.0,
-}
+_DEFAULTS: dict[str, Any] = {"db": False, "tol": EPS_MEM, "grid": 2001, "bbox_scale": 4.0}
 _REQUIRED = ("p1", "p2", "tau1", "tau2")
 
 
@@ -69,9 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _resolve_settings(args)
-        cfg, load = _scenario(settings)
-        return args.handler(args, settings, cfg, load)
+        return args.handler(args, *_settings(args))
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_NON_MEMBER
@@ -139,8 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
-    """Merge defaults, scenario file and explicit flags (flags win)."""
+def _settings(args: argparse.Namespace) -> tuple[dict[str, Any], ChannelConfig, TrafficLoad]:
+    """Merge defaults, scenario file and explicit flags (flags win), then check every setting:
+    the powers and loads, tol, bbox_scale and grid, in that order.  Handlers only read them."""
     settings = dict(_DEFAULTS)
     if args.scenario:
         try:
@@ -162,15 +155,10 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
     missing = [name for name in _REQUIRED if name not in settings]
     if missing:
         raise ValueError(f"missing required setting(s): {', '.join(missing)}")
-    return settings
-
-
-def _scenario(settings: dict[str, Any]) -> tuple[ChannelConfig, TrafficLoad]:
     for name in (*_REQUIRED, "tol"):
         if isinstance(settings[name], bool):  # a JSON true/false would pass as 1/0
             raise ValueError(f"{name}: must be a number, got {settings[name]!r}")
-    p1, p2 = settings["p1"], settings["p2"]
-    db = settings["db"]
+    p1, p2, db = settings["p1"], settings["p2"], settings["db"]
     if not isinstance(db, bool):
         raise ValueError(f"db: must be true or false, got {db!r}")
     try:
@@ -186,7 +174,11 @@ def _scenario(settings: dict[str, Any]) -> tuple[ChannelConfig, TrafficLoad]:
     tol = settings["tol"]
     if not isinstance(tol, (int, float)) or not 0.0 <= tol < 1.0:
         raise ValueError(f"tol: must be a small nonnegative number, got {tol!r}")
-    return cfg, load
+    scale = settings["bbox_scale"]
+    if not isinstance(scale, (int, float)) or not 1.0 < scale < math.inf:
+        raise ValueError(f"bbox-scale: must be a finite number > 1, got {scale!r}")
+    _require_resolution(settings["grid"])
+    return settings, cfg, load
 
 
 def _emit(command: str, settings: dict[str, Any], cfg: ChannelConfig, load: TrafficLoad,
@@ -208,19 +200,15 @@ def _pair(d: CompletionTimePair) -> dict[str, float]:
 
 
 def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
-    scale = settings["bbox_scale"]
-    if not isinstance(scale, (int, float)) or not 1.0 < scale < math.inf:
-        raise ValueError(f"bbox-scale: must be a finite number > 1, got {scale!r}")
     desc = build_region(cfg, load)
     value, point = minimax(cfg, load)
-    box = scale * value
+    box = settings["bbox_scale"] * value
     polyline = boundary_polyline(cfg, load, box, box)
     if args.csv:
         print("d1,d2")
         for x, y in polyline:
             print(f"{x:.12g},{y:.12g}")
         return EXIT_OK
-    bound = outer_bound(cfg, load)
     _emit("region", settings, cfg, load, {
         "case": desc.case.value,
         "pieces": [
@@ -237,9 +225,9 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             }
             for name, piece in desc.pieces
         ],
-        "outer_bound": {
-            "d1_min": r12(bound.halfplanes[0].c),
-            "d2_min": r12(bound.halfplanes[1].c),
+        "outer_bound": {  # the solo floors, each piece's first two half-planes
+            "d1_min": r12(desc.piece_d1.halfplanes[0].c),
+            "d2_min": r12(desc.piece_d1.halfplanes[1].c),
         },
         "minimax": {"value": r12(value), **_pair(point)},
         "bounding_box": {"d1_max": r12(box), "d2_max": r12(box)},
@@ -289,7 +277,7 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     doc.update(value=r12(value), point=_pair(point), cell=f"Case {case.value}, {cell}", tie=tie)
     exit_code = EXIT_OK
     if args.verify:
-        spec = default_grid(cfg, load, settings["grid"])  # a bad --grid raises ValueError: exit 2
+        spec = default_grid(cfg, load, settings["grid"])
         report = (
             oracle_minimax(cfg, load, spec)
             if args.minimax

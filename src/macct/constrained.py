@@ -103,6 +103,13 @@ def _infeasible(r1: float, r2: float, c: float, violated: str) -> InfeasibleErro
     return InfeasibleError(f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}")
 
 
+def _require_member(g: Gammas, r1: float, r2: float, c: float, tol: float) -> None:
+    """Raise the `_infeasible` error when rate pair (r1, r2) at ratio c violates a constraint."""
+    violated = _violations(_membership_slacks(g, r1, r2, c), tol)
+    if violated:
+        raise _infeasible(r1, r2, c, violated)
+
+
 def constrained_contains(cfg: ChannelConfig, q: ConstrainedRateQuery, tol: float = EPS_MEM) -> bool:
     """Membership in the c-constrained region via the direct inequalities."""
     slacks = _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)
@@ -143,9 +150,7 @@ def decompose_rate(
     is outside the c-constrained region.
     """
     g, r1, r2, c = _gammas(cfg), q.rates.r1, q.rates.r2, q.c
-    violated = _violations(_membership_slacks(g, r1, r2, c), tol)
-    if violated:
-        raise _infeasible(r1, r2, c, violated)
+    _require_member(g, r1, r2, c, tol)
     # In units of user 2's codeword length, user 1's codeword ends at c.
     if c <= 1.0:  # user 2 finishes last, or both together
         return RateDecomposition(*_split(r2, c, 1.0, g[1]), 2)

@@ -48,7 +48,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma
-from .constrained import _NAMES
+from .constrained import _NAMES, _require_member
 from .types import (
     EPS_MEM,
     _INF,
@@ -164,20 +164,24 @@ def map_rate_to_ct(
 
     Branch 1 (d1 <= d2): user 1 runs at r1 the whole time it is active, so
     d1 = tau1/r1; user 2 sends at r2 alongside and finishes its remaining
-    bits alone at full rate gamma(P2).  Branch 2 mirrors the roles.
+    bits alone at full rate gamma(P2).  Branch 2 mirrors the roles.  A point
+    outside the pentagon raises InfeasibleError naming the violated constraint.
     """
-    return CompletionTimePair(*_map_rate_to_ct(_gammas(cfg), load, branch, r.as_tuple()))
+    branch = _user_index("branch", branch)
+    g = _gammas(cfg)
+    _require_member(g, r.r1, r.r2, 1.0, EPS_MEM)
+    return CompletionTimePair(*_map_rate_to_ct(g, load, branch, r.as_tuple()))
 
 
 def _map_rate_to_ct(
     g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float]
 ) -> tuple[float, float]:
-    """`map_rate_to_ct` as a float pair, refused as `CompletionTimePair` refuses it."""
-    early = branch if type(branch) is int and 0 < branch < 3 else _user_index("branch", branch)
-    if r[early - 1] <= 0.0:
+    """`map_rate_to_ct` as a float pair, refused as `CompletionTimePair` refuses it.  Its callers
+    check the branch and the rate point."""
+    if r[branch - 1] <= 0.0:
         raise ValueError(f"branch {branch} needs r{branch} > 0 (it divides by r{branch})")
     (r1, r2), tau1, tau2 = r, load.tau1, load.tau2
-    if early == 1:
+    if branch == 1:
         d1, d2 = tau1 / r1, _late_time(tau2, g[1], r2, tau1, r1)
     else:
         d1, d2 = _late_time(tau1, g[0], r1, tau2, r2), tau2 / r2
@@ -316,7 +320,7 @@ def boundary_polyline(
     floor).  In Case II the path turns inward at Cbar, tracing the notch.
     """
     desc = build_region(cfg, load)
-    _, (lo1, lo2) = outer_bound(cfg, load).vertices[0]
+    lo1, lo2 = (hp.c for hp in desc.piece_d1.halfplanes[:2])  # the solo floors
     middle = [xy for _, xy in desc.piece_d1.vertices + desc.piece_d2.vertices[1:]]
     if d1_max < max(x for x, _ in middle) or d2_max < max(y for _, y in middle):
         raise ValueError("bounding box does not contain every region vertex")

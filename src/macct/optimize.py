@@ -25,9 +25,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .capacity import Gammas, _corners, _gammas, gamma
+from .capacity import Gammas, _corners, _gammas, gamma  # noqa: F401 (bench/test_bench.py traces it)
+from .constrained import _require_member
 from .ctregion import _PIECE_CORNERS, Case, _equal_time, _map_rate_to_ct
 from .types import (
+    EPS_MEM,
     _INF,
     ChannelConfig,
     CompletionTimePair,
@@ -127,14 +129,17 @@ def _threshold(g: Gammas, load: TrafficLoad, name: str) -> float:
 def objective_d(
     cfg: ChannelConfig, load: TrafficLoad, branch: int, w: float, r: RatePair
 ) -> float:
-    """Branch objective at rate point r; equals w*d1 + (1-w)*d2 of the mapped point."""
+    """Branch objective at rate point r; equals w*d1 + (1-w)*d2 of the mapped point.  A point
+    outside the pentagon raises InfeasibleError naming the violated constraint."""
     _require_unit_interval("weight", w)
     early = _user_index("branch", branch) - 1
     late = 1 - early
+    gammas = _gammas(cfg)
+    _require_member(gammas, r.r1, r.r2, 1.0, EPS_MEM)
     rates, tau = r.as_tuple(), (load.tau1, load.tau2)
     if rates[early] <= 0.0:
         raise ValueError(f"branch {branch} objective divides by r{branch}; need r{branch} > 0")
-    g = gamma((cfg.p1, cfg.p2)[late])
+    g = gammas[late]
     w_late = (1.0 - w, w)[early]
     return w_late * tau[late] / g + tau[early] * (g - w_late * rates[late]) / (g * rates[early])
 

@@ -28,7 +28,7 @@ TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
-from .capacity import _gammas, region_contains, standard_capacity_region
+from .capacity import _gammas, standard_capacity_region
 from .ctregion import RegionDescription, _equal_time, build_region, ct_contains_grid, point_c
 from .types import (
     EPS_MEM,
@@ -45,6 +45,15 @@ from .types import (
 _MIN_RESOLUTION = 16
 
 
+def _require_resolution(resolution: int) -> None:
+    """Refuse a grid resolution that is not an int of at least `_MIN_RESOLUTION`."""
+    value = -1  # a non-integer stays below the minimum
+    with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
+        value = operator.index(resolution)
+    if value < _MIN_RESOLUTION:
+        raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, got {resolution!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class GridSpec:
     """Uniform search grid: `resolution` points per axis over a positive box."""
@@ -54,12 +63,7 @@ class GridSpec:
     d2_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        value = -1  # a non-integer stays below the minimum
-        with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
-            value = operator.index(self.resolution)
-        if value < _MIN_RESOLUTION:
-            raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, "
-                             f"got {self.resolution!r}")
+        _require_resolution(self.resolution)
         for name in ("d1_bounds", "d2_bounds"):
             lo, hi = (_require_finite(name, v) for v in getattr(self, name))
             if not 0.0 < lo < hi:
@@ -180,9 +184,15 @@ def oracle_region_equivalence(
     union = np.zeros((x.size, y.size), dtype=bool)
     near_boundary = np.zeros_like(union)
     for _, piece in region.pieces:
-        union |= region_contains(piece, (d1, d2), tol)
+        inside = np.ones_like(union)  # `region_contains`, from the slacks the band reads
         for hp in piece.halfplanes:
-            near_boundary |= np.abs(hp.slack(d1, d2)) / math.hypot(hp.a, hp.b) <= eps_boundary
+            slack = hp.slack(d1, d2)  # one N^2 array per half-plane, freed before the next
+            inside &= slack >= -tol
+            np.abs(slack, out=slack)
+            slack /= math.hypot(hp.a, hp.b)
+            near_boundary |= slack <= eps_boundary
+            del slack
+        union |= inside
     ct = ct_contains_grid(cfg, load, d1, d2, tol)
     bad = (union != ct) & ~near_boundary
     ii, jj = np.nonzero(bad)

@@ -352,6 +352,26 @@ class TestScenarioHandling:
         assert rc == 2 and out == ""
         assert err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("setting, value, message", [
+        *(("grid", v, f"grid resolution must be an int >= 16, got {v!r}")
+          for v in ("abc", 8, True, 64.0)),
+        *(("bbox_scale", v, f"bbox-scale: must be a finite number > 1, got {v!r}")
+          for v in (0.5, "x", True)),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["region"], ["check", "1.6", "1"], ["schedule", "1.6", "1"],
+        ["minimize", "--weight", "0.3"], ["minimize", "--minimax"],
+    ], ids=["region", "check", "schedule", "weight", "minimax"])
+    def test_every_setting_checked_by_every_subcommand(
+        self, command, setting, value, message, tmp_path, capsys
+    ):
+        # A scenario file's setting is refused before any handler runs, whether or not the
+        # subcommand reads it, with the message of the check that owns it.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"p1": 3, "p2": 3, "tau1": 1, "tau2": 1, setting: value}))
+        rc, out, err = run([*command, "--scenario", str(scenario)], capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
 
 _PROBE = """
 import contextlib, io, json, sys

@@ -10,6 +10,7 @@ from macct import (
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
+    InfeasibleError,
     Phase,
     RatePair,
     TrafficLoad,
@@ -103,6 +104,19 @@ class TestObjective:
             assert objective_d(cfg, load, branch, w, r) == pytest.approx(
                 expected, rel=1e-12
             )
+
+    @pytest.mark.parametrize("rate, violated", [
+        ((0.9, 0.9), "sum_rate violated"),
+        ((1.5, 0.1), "single_user_1 violated by 0.5, sum_rate violated"),
+    ])
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_rate_point_outside_the_pentagon_refused(self, branch, rate, violated):
+        # Mapped, (0.9, 0.9) would give (1.111, 1.111), below the minimax time CBAR_II.
+        r = RatePair(*rate)
+        with pytest.raises(InfeasibleError, match=f"c=1 is infeasible: {violated}"):
+            map_rate_to_ct(CFG33, LOAD_II, branch, r)
+        with pytest.raises(InfeasibleError, match=f"c=1 is infeasible: {violated}"):
+            objective_d(CFG33, LOAD_II, branch, 0.5, r)
 
     def test_zero_divisor_and_bad_weight(self):
         with pytest.raises(ValueError):
