@@ -30,6 +30,7 @@ from .types import (
     HalfPlane,
     RatePair,
     _require_finite,
+    _require_tol,
 )
 
 # (g1, g2, g12, s1, s2) = (gamma(P1), gamma(P2), gamma(P1+P2), gamma(P1/(1+P2)),
@@ -107,6 +108,7 @@ def region_contains(piece: ConvexPiece, point: Sequence, tol: float = EPS_MEM):
     The coordinates are floats, giving a bool, or broadcastable ndarrays,
     giving the elementwise mask.
     """
+    _require_tol(tol)
     x, y = point
     inside = True
     for hp in piece.halfplanes:

@@ -35,6 +35,7 @@ from .types import (
     ConsistencyError,
     InfeasibleError,
     TrafficLoad,
+    _require_tol,
 )
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING: `typing` costs each run its import
@@ -155,7 +156,7 @@ def _settings(args: argparse.Namespace) -> tuple[dict[str, Any], ChannelConfig, 
     missing = [name for name in _REQUIRED if name not in settings]
     if missing:
         raise ValueError(f"missing required setting(s): {', '.join(missing)}")
-    for name in (*_REQUIRED, "tol"):
+    for name in _REQUIRED:
         if isinstance(settings[name], bool):  # a JSON true/false would pass as 1/0
             raise ValueError(f"{name}: must be a number, got {settings[name]!r}")
     p1, p2, db = settings["p1"], settings["p2"], settings["db"]
@@ -171,9 +172,7 @@ def _settings(args: argparse.Namespace) -> tuple[dict[str, Any], ChannelConfig, 
         load = TrafficLoad(settings["tau1"], settings["tau2"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"traffic load: {err}") from err
-    tol = settings["tol"]
-    if not isinstance(tol, (int, float)) or not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol: must be a small nonnegative number, got {tol!r}")
+    _require_tol(settings["tol"])
     scale = settings["bbox_scale"]
     if not isinstance(scale, (int, float)) or not 1.0 < scale < math.inf:
         raise ValueError(f"bbox-scale: must be a finite number > 1, got {scale!r}")

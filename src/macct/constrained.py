@@ -16,9 +16,11 @@ finisher's rate onto the shared interval and clamping at zero:
     c < 1:  (R1, [R2/c - (1/c-1)*gamma(P2)]+)  in pentagon
     c > 1:  ([c*R1 - (c-1)*gamma(P1)]+, R2)    in pentagon
 
-The direct inequalities are the membership test of this rate-space view;
-the clamp transform is kept for cross-validation.  `ctregion` tests each
-inequality times its rate's block length, with no c and no division.
+The clamp transform is kept for cross-validation.  A query (R1, R2, c) is the
+time pair (c, 1) carrying the bits (c*R1, R2).  Each inequality times its rate's
+block length is linear in the times, with no c and no division: `_sides` states
+them so, once, for this rate view, `ctregion` and `schedule` (a pentagon check
+reads it at c = 1).
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import Gammas, _gammas, gamma
-from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite
+from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite, _require_tol
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
 SINGLE_USER_2 = "single_user_2"
 SUM_RATE = "sum_rate"
-_NAMES = (SINGLE_USER_1, SINGLE_USER_2, SUM_RATE)  # the order of `_membership_slacks`
+_NAMES = (SINGLE_USER_1, SINGLE_USER_2, SUM_RATE)  # the order of `_tests` and `_slacks`
 
 _C_MIN = 1e-12
 _C_MAX = 1e12
@@ -69,51 +71,67 @@ class RateDecomposition:
 
 
 def constrained_slacks(cfg: ChannelConfig, q: ConstrainedRateQuery) -> dict[str, float]:
-    """Signed slacks of the three region inequalities (nonnegative = satisfied)."""
-    return dict(zip(_NAMES, _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)))
-
-
-def _membership_slacks(g: Gammas, r1: float, r2: float, c: float) -> tuple[float, float, float]:
-    """Slacks of the single-user 1, single-user 2 and sum-rate inequalities.
-
-    g is the channel's `_gammas`; the rates and c are floats (numpy scalars pass).
-    """
-    g1, g2, g12, _, _ = g
-    if c >= 1.0:  # user 1 finishes last
-        sum_slack = (c - 1.0) * g1 + g12 - (c * r1 + r2)
-    else:  # user 2 finishes last
-        sum_slack = (1.0 / c - 1.0) * g2 + g12 - (r1 + r2 / c)
-    return g1 - r1, g2 - r2, sum_slack
-
-
-def _violations(slacks: tuple, tol: float) -> str:
-    """`"<name> violated by <amount>"` for each slack below -tol, comma-separated."""
-    s1, s2, s3 = slacks
-    if not (s1 < -tol or s2 < -tol or s3 < -tol):  # the common case: nothing to report
-        return ""
-    return ", ".join(
-        f"{name} violated by {-s:.3g}"
-        for name, s in zip(_NAMES, slacks)
-        if s < -tol
-    )
-
-
-def _infeasible(r1: float, r2: float, c: float, violated: str) -> InfeasibleError:
-    """The error for rate pair (r1, r2) at ratio c; `violated` names each failed constraint."""
-    return InfeasibleError(f"rate pair ({r1:.6g}, {r2:.6g}) at c={c:.6g} is infeasible: {violated}")
-
-
-def _require_member(g: Gammas, r1: float, r2: float, c: float, tol: float) -> None:
-    """Raise the `_infeasible` error when rate pair (r1, r2) at ratio c violates a constraint."""
-    violated = _violations(_membership_slacks(g, r1, r2, c), tol)
-    if violated:
-        raise _infeasible(r1, r2, c, violated)
+    """Slacks (nonnegative = satisfied): `ct_slacks` of bits (c*r1, r2) over times (c, 1)."""
+    c = q.c
+    return dict(zip(_NAMES, _slacks(_gammas(cfg), c * q.rates.r1, q.rates.r2, c, 1.0)))
 
 
 def constrained_contains(cfg: ChannelConfig, q: ConstrainedRateQuery, tol: float = EPS_MEM) -> bool:
-    """Membership in the c-constrained region via the direct inequalities."""
-    slacks = _membership_slacks(_gammas(cfg), q.rates.r1, q.rates.r2, q.c)
-    return all(s >= -tol for s in slacks)
+    """Membership in the c-constrained region: `ct_contains` of bits (c*r1, r2) at times (c, 1)."""
+    _require_tol(tol)
+    c = q.c
+    return bool(_member(_gammas(cfg), c * q.rates.r1, q.rates.r2, c, 1.0, tol))
+
+
+def _sides(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float) -> tuple:
+    """(left, right) of user 1's and 2's solo floors and of D1's and D2's sum faces, flat, each
+    met as left >= right: each rate inequality of (tau1/d1, tau2/d2) at c = d1/d2 times its rate's
+    block length, so tol on a rate is tol times its time.  A sum face reads: the late finisher's
+    spare bits cover the early one's lack (nearly equal terms).  Arrays give arrays."""
+    g1, g2, _, s1, s2 = g
+    return ((g1 + tol) * d1, tau1, (g2 + tol) * d2, tau2,
+            g2 * d2 - tau2, tau1 - (s1 + tol) * d1,
+            g1 * d1 - tau1, tau2 - (s2 + tol) * d2)
+
+
+def _tests(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float) -> tuple:
+    """The solo floors and the first finisher's sum face (D1's on d1 <= d2, D2's on d1 >= d2)."""
+    l1, r1, l2, r2, l3, r3, l4, r4 = _sides(g, tau1, tau2, d1, d2, tol)
+    return l1 >= r1, l2 >= r2, (d1 <= d2) & (l3 >= r3) | (d1 >= d2) & (l4 >= r4)
+
+
+def _member(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float):
+    """Membership of (d1, d2): a bool for floats, the elementwise mask for arrays."""
+    solo_1, solo_2, sum_face = _tests(g, tau1, tau2, d1, d2, tol)
+    return solo_1 & solo_2 & sum_face
+
+
+def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
+    """The three tests at tol 0 as rates, left minus right over the rate's block length: d_i for
+    user i's solo floor, min(d1, d2) for the first finisher's sum face (at d1 == d2, where either
+    face admits the pair, the larger).  A rate tau_i/d_i beyond the float range gives -inf."""
+    l1, r1, l2, r2, l3, r3, l4, r4 = _sides(g, tau1, tau2, d1, d2, 0.0)
+    sum_1, sum_2 = (l3 - r3) / d1, (l4 - r4) / d2
+    return ((l1 - r1) / d1, (l2 - r2) / d2,
+            sum_1 if d1 < d2 else sum_2 if d1 > d2 else max(sum_1, sum_2))
+
+
+def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> str:
+    """`"<name> violated by <amount>"` for each failed test, comma-separated, with the rate it
+    lacks (its `_slacks` slack) as the amount; "" when the pair is a member."""
+    tests = _tests(g, tau1, tau2, d1, d2, tol)
+    if tests[0] and tests[1] and tests[2]:  # the common case: nothing to report
+        return ""
+    slacks = zip(tests, _NAMES, _slacks(g, tau1, tau2, d1, d2))
+    return ", ".join(f"{name} violated by {-s:.3g}" for ok, name, s in slacks if not ok)
+
+
+def _require_member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> None:
+    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region."""
+    violated = _violations(g, tau1, tau2, d1, d2, tol)
+    if violated:
+        raise InfeasibleError(f"rate pair ({tau1 / d1:.6g}, {tau2 / d2:.6g}) at c={d1 / d2:.6g} "
+                              f"is infeasible: {violated}")
 
 
 def clamp_transform(cfg: ChannelConfig, q: ConstrainedRateQuery) -> RatePair:
@@ -144,32 +162,35 @@ def decompose_rate(
     the channel of multi-user interference as early as possible and puts
     the shared-phase pair on the clamp-transform image; when the solo phase
     alone ships every bit, the shared-phase rate is exactly 0.0.  A late rate
-    above capacity (admitted by tol) is kept in both phases.
+    above capacity (admitted by tol) is kept in both phases.  This is
+    `synthesize`'s split of the bits (c*r1, r2) over the times (c, 1).
 
     Raises InfeasibleError (naming the violated constraint) when the query
     is outside the c-constrained region.
     """
-    g, r1, r2, c = _gammas(cfg), q.rates.r1, q.rates.r2, q.c
-    _require_member(g, r1, r2, c, tol)
-    # In units of user 2's codeword length, user 1's codeword ends at c.
-    if c <= 1.0:  # user 2 finishes last, or both together
-        return RateDecomposition(*_split(r2, c, 1.0, g[1]), 2)
-    return RateDecomposition(*_split(c * r1, 1.0, c, g[0]), 1)
+    _require_tol(tol)
+    g, c = _gammas(cfg), q.c
+    bits1, bits2 = c * q.rates.r1, q.rates.r2
+    _require_member(g, bits1, bits2, c, 1.0, tol)
+    return RateDecomposition(*_split(g, bits1, bits2, c, 1.0))
 
 
-def _split(bits: float, early: float, late: float, g_late: float) -> tuple[float, float]:
-    """The late finisher's rates (shared, solo) over [0, early] and [early, late] for `bits`.
-
-    The solo phase runs as fast as it may, at most g_late: when it alone carries the bits the
-    shared rate is 0.0; without one the solo rate is 0.0.  Bits beyond g_late*late (admitted by
-    tol) go at bits/late in both phases, not into the shared phase (there they scale by late/early).
-    """
+def _split(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple[float, float, int]:
+    """(shared, solo, late user): the late finisher's rates over [0, early] and [early, late];
+    user 2 at d1 == d2, with no solo phase (solo rate 0.0).  The solo phase runs as fast as it
+    may, at most g_late: when it alone carries the bits the shared rate is 0.0.  Bits beyond
+    g_late*late (admitted by tol) go at bits/late in both phases, not into the shared phase
+    (there they scale by late/early)."""
+    if d1 > d2:
+        user, bits, early, late, g_late = 1, tau1, d2, d1, g[0]
+    else:
+        user, bits, early, late, g_late = 2, tau2, d1, d2, g[1]
     solo_time = late - early
     if solo_time == 0.0:
-        return bits / early, 0.0
+        return bits / early, 0.0, user
     if g_late * late < bits:
-        return bits / late, bits / late
+        return bits / late, bits / late, user
     solo = bits / solo_time
     if solo <= g_late:
-        return 0.0, solo
-    return max(0.0, g_late - (g_late * late - bits) / early), g_late
+        return 0.0, solo, user
+    return max(0.0, g_late - (g_late * late - bits) / early), g_late, user

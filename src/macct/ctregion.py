@@ -4,9 +4,10 @@ User i must deliver tau_i bits per source unit; transmitting at constrained
 rate R_i it finishes after d_i = tau_i / R_i channel uses per source unit.
 A pair (d1, d2) is achievable exactly when the rate pair (tau1/d1, tau2/d2)
 lies in the c-constrained capacity region with c = d1/d2.  `ct_contains`,
-the definitional ground truth for everything else here, multiplies each of
-those inequalities by its rate's block length: three linear tests, no division.
-`ct_slacks` divides each back into a rate slack for `check` and `synthesize`.
+the definitional ground truth for everything else here, reads those
+inequalities as `constrained._sides` states them, each times its rate's block
+length: three linear tests, no division.  `ct_slacks` divides each back into a
+rate slack.
 
 The region splits into two convex pieces: D1 on the d1 <= d2 side and D2 on
 d1 >= d2.  Each piece is an intersection of half-planes among
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma
-from .constrained import _NAMES, _require_member
+from .constrained import _NAMES, _member, _require_member, _slacks
 from .types import (
     EPS_MEM,
     _INF,
@@ -58,6 +59,7 @@ from .types import (
     HalfPlane,
     RatePair,
     TrafficLoad,
+    _require_tol,
     _user_index,
 )
 
@@ -169,7 +171,7 @@ def map_rate_to_ct(
     """
     branch = _user_index("branch", branch)
     g = _gammas(cfg)
-    _require_member(g, r.r1, r.r2, 1.0, EPS_MEM)
+    _require_member(g, r.r1, r.r2, 1.0, 1.0, EPS_MEM)
     return CompletionTimePair(*_map_rate_to_ct(g, load, branch, r.as_tuple()))
 
 
@@ -202,58 +204,24 @@ def ct_contains(
     cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair, tol: float = EPS_MEM
 ) -> bool:
     """Definitional membership test: the induced rate pair must be achievable."""
-    return bool(_ct_member(_gammas(cfg), load, d.d1, d.d2, tol))  # a bool for numpy tol too
-
-
-def _ct_member(g: Gammas, load: TrafficLoad, d1, d2, tol: float):
-    """Membership of (d1, d2): a bool for floats, the elementwise mask for arrays."""
-    solo_1, solo_2, sum_face = _ct_tests(g, load, d1, d2, tol)
-    return solo_1 & solo_2 & sum_face
-
-
-def _ct_tests(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
-    """The solo floors and the first finisher's sum face (D1's on d1 <= d2, D2's on d1 >= d2)."""
-    (l1, r1), (l2, r2), (l3, r3), (l4, r4) = _ct_sides(g, load, d1, d2, tol)
-    return l1 >= r1, l2 >= r2, (d1 <= d2) & (l3 >= r3) | (d1 >= d2) & (l4 >= r4)
-
-
-def _ct_sides(g: Gammas, load: TrafficLoad, d1, d2, tol: float) -> tuple:
-    """(left, right) of the solo floors and of D1's and D2's sum faces, each met as left >= right.
-
-    Each is a rate-space inequality times its rate's block length: tol on a rate is tol times its
-    time and nothing is divided.  A sum face reads: the late finisher's spare bits cover the early
-    one's lack (nearly equal terms).
-    """
-    g1, g2, _, s1, s2 = g
-    tau1, tau2 = load.tau1, load.tau2
-    return (((g1 + tol) * d1, tau1), ((g2 + tol) * d2, tau2),
-            (g2 * d2 - tau2, tau1 - (s1 + tol) * d1),
-            (g1 * d1 - tau1, tau2 - (s2 + tol) * d2))
+    _require_tol(tol)
+    # a bool for a numpy tol too
+    return bool(_member(_gammas(cfg), load.tau1, load.tau2, d.d1, d.d2, tol))
 
 
 def ct_slacks(cfg: ChannelConfig, load: TrafficLoad, d: CompletionTimePair) -> dict[str, float]:
-    """Slacks of the three membership tests at d as rates, nonnegative when met: each `_ct_sides`
-    test at tol 0, left minus right, over its rate's block length (d_i for user i's solo floor,
-    min(d1, d2) for the first finisher's sum face; at d1 == d2, where either face admits the pair,
-    the larger).  So a user swap mirrors them exactly, no c range applies, and a rate tau_i/d_i
-    beyond the float range gives user i -inf.
-    """
-    d1, d2 = d.d1, d.d2
-    (l1, r1), (l2, r2), (l3, r3), (l4, r4) = _ct_sides(_gammas(cfg), load, d1, d2, 0.0)
-    sum_1, sum_2 = (l3 - r3) / d1, (l4 - r4) / d2
-    return dict(zip(_NAMES, ((l1 - r1) / d1, (l2 - r2) / d2,
-                             sum_1 if d1 < d2 else sum_2 if d1 > d2 else max(sum_1, sum_2))))
+    """Slacks of the three membership tests at d as rates, nonnegative when met (`_slacks`): a
+    user swap mirrors them exactly, no c range applies, and a rate tau_i/d_i beyond the float
+    range gives user i -inf."""
+    return dict(zip(_NAMES, _slacks(_gammas(cfg), load.tau1, load.tau2, d.d1, d.d2)))
 
 
 def ct_contains_grid(
-    cfg: ChannelConfig,
-    load: TrafficLoad,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    tol: float = EPS_MEM,
+    cfg: ChannelConfig, load: TrafficLoad, d1: np.ndarray, d2: np.ndarray, tol: float = EPS_MEM
 ) -> np.ndarray:
     """Vectorized `ct_contains` over positive arrays d1, d2 (broadcastable)."""
-    return _ct_member(_gammas(cfg), load, d1, d2, tol)
+    _require_tol(tol)
+    return _member(_gammas(cfg), load.tau1, load.tau2, d1, d2, tol)
 
 
 def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:

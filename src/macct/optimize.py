@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .capacity import Gammas, _corners, _gammas, gamma  # noqa: F401 (bench/test_bench.py traces it)
 from .constrained import _require_member
-from .ctregion import _PIECE_CORNERS, Case, _equal_time, _map_rate_to_ct
+from .ctregion import _PIECE_CORNERS, Case, _equal_time, _late_time, _map_rate_to_ct
 from .types import (
     EPS_MEM,
     _INF,
@@ -135,13 +135,14 @@ def objective_d(
     early = _user_index("branch", branch) - 1
     late = 1 - early
     gammas = _gammas(cfg)
-    _require_member(gammas, r.r1, r.r2, 1.0, EPS_MEM)
+    _require_member(gammas, r.r1, r.r2, 1.0, 1.0, EPS_MEM)
     rates, tau = r.as_tuple(), (load.tau1, load.tau2)
     if rates[early] <= 0.0:
         raise ValueError(f"branch {branch} objective divides by r{branch}; need r{branch} > 0")
-    g = gammas[late]
     w_late = (1.0 - w, w)[early]
-    return w_late * tau[late] / g + tau[early] * (g - w_late * rates[late]) / (g * rates[early])
+    # w*d1 + (1-w)*d2 is the late time of the late finisher's weighted bits and rate
+    return _late_time(w_late * tau[late], gammas[late], w_late * rates[late],
+                      tau[early], rates[early])
 
 
 def minimize_subregion(

@@ -38,6 +38,7 @@ from .types import (
     RatePair,
     TrafficLoad,
     _require_finite,
+    _require_tol,
     _require_unit_interval,
     _user_index,
 )
@@ -174,6 +175,7 @@ def oracle_region_equivalence(
     exempt.  An empty list certifies the region description on this grid.
     The `region` override lets tests feed a deliberately wrong description.
     """
+    _require_tol(tol)
     import numpy as np
 
     if region is None:

@@ -19,16 +19,15 @@ import math
 from dataclasses import dataclass
 
 from .capacity import _gammas
-from .constrained import _infeasible, _membership_slacks, _split, _violations
-from .ctregion import _ct_member, _ct_tests, ct_slacks
+from .constrained import _member, _require_member, _split, _violations
 from .types import (
     EPS_MEM,
     ChannelConfig,
     CompletionTimePair,
-    InfeasibleError,
     RatePair,
     TrafficLoad,
     _require_finite,
+    _require_tol,
     _require_unit_interval,
     _slot_setters,
     _user_index,
@@ -96,6 +95,11 @@ class Schedule:
     achieved: CompletionTimePair
 
     def __init__(self, phases: tuple[Phase, ...], achieved: CompletionTimePair) -> None:
+        for phase in phases if isinstance(phases, tuple) else (None,):  # not a tuple: refused
+            if not isinstance(phase, Phase):
+                raise ValueError(f"phases must be a tuple of Phase, got {phases!r}")
+        if not isinstance(achieved, CompletionTimePair):
+            raise ValueError(f"achieved must be a CompletionTimePair, got {achieved!r}")
         _set_phases(self, phases)
         _set_achieved(self, achieved)
 
@@ -132,23 +136,17 @@ def synthesize(
     only within tol runs at tau/d throughout).  Raises InfeasibleError,
     naming each violated constraint, for d outside the region.
     """
-    g = _gammas(cfg)
-    d1, d2 = d.d1, d.d2
-    tests = _ct_tests(g, load, d1, d2, tol)
-    if not all(tests):  # name each failed test and the rate it lacks, its `ct_slacks` slack
-        slacks = ct_slacks(cfg, load, d).items()
-        violated = ", ".join(f"{name} violated by {-s:.3g}"
-                             for ok, (name, s) in zip(tests, slacks) if not ok)
-        raise _infeasible(load.tau1 / d1, load.tau2 / d2, d1 / d2, violated)
-    if d1 > d2:  # user 1 finishes last
-        shared_rate, solo_rate = _split(load.tau1, d2, d1, g[0])
-        early, late, shared, solo = d2, d1, (shared_rate, load.tau2 / d2), (solo_rate, 0.0)
+    _require_tol(tol)
+    g, (tau1, tau2), (d1, d2) = _gammas(cfg), (load.tau1, load.tau2), (d.d1, d.d2)
+    _require_member(g, tau1, tau2, d1, d2, tol)
+    shared_rate, solo_rate, late_user = _split(g, tau1, tau2, d1, d2)
+    if late_user == 1:  # user 1 finishes last
+        early, late, shared, solo = d2, d1, (shared_rate, tau2 / d2), (solo_rate, 0.0)
     else:  # user 2 finishes last, or both at d1 == d2 with an empty solo phase
-        shared_rate, solo_rate = _split(load.tau2, d1, d2, g[1])
-        early, late, shared, solo = d1, d2, (load.tau1 / d1, shared_rate), (0.0, solo_rate)
+        early, late, shared, solo = d1, d2, (tau1 / d1, shared_rate), (0.0, solo_rate)
     phases = [Phase(early, RatePair(*shared), _BOTH)]
     if late > early:
-        phases.append(Phase(late - early, RatePair(*solo), _SOLO[0 if d1 > d2 else 1]))
+        phases.append(Phase(late - early, RatePair(*solo), _SOLO[late_user - 1]))
     return Schedule(tuple(phases), achieved=d)
 
 
@@ -187,6 +185,7 @@ def validate(
     cfg: ChannelConfig, load: TrafficLoad, s: Schedule, tol: float = EPS_MEM
 ) -> ValidationReport:
     """Check every schedule invariant; violations are reported, not raised."""
+    _require_tol(tol)
     violations: list[str] = []
     g = _gammas(cfg)
     # One pass over the phases tests their rates and gathers, per user: the bits
@@ -203,12 +202,10 @@ def validate(
             violations.append(f"phase {k}: no active users")
         # The pentagon is the c = 1 region; a silent user's rate is exactly 0.
         r1, r2 = phase.rates.r1, phase.rates.r2
-        violated = _violations(_membership_slacks(g, r1, r2, 1.0), tol)
+        violated = _violations(g, r1, r2, 1.0, 1.0, tol)
         if violated:
-            violations.append(
-                f"phase {k}: rates ({r1:.6g}, {r2:.6g}) outside the capacity "
-                f"pentagon: {violated}"
-            )
+            violations.append(f"phase {k}: rates ({r1:.6g}, {r2:.6g}) outside the capacity "
+                              f"pentagon: {violated}")
         t = phase.duration
         end += t
         bits1 += t * r1
@@ -237,7 +234,7 @@ def validate(
                 f"{last:.12g}, completion time is {deadline:.12g}"
             )
 
-    if not _ct_member(g, load, s.achieved.d1, s.achieved.d2, tol):
+    if not _member(g, load.tau1, load.tau2, s.achieved.d1, s.achieved.d2, tol):
         violations.append(
             f"achieved pair ({s.achieved.d1:.6g}, {s.achieved.d2:.6g}) is not in the region"
         )

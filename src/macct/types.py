@@ -93,6 +93,15 @@ def _require_unit_interval(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a membership tolerance that is not a real number in [0, 1): NaN and bools too."""
+    if type(tol) is not float or not 0.0 <= tol < 1.0:  # in-range floats skip the type test
+        import numbers
+
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < 1.0:
+            raise ValueError(f"tol: must be a small nonnegative number, got {tol!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelConfig:
     """Two-user Gaussian multi-access channel, receive powers in linear SNR."""

@@ -136,3 +136,11 @@ def log_uniform_instances(rng: np.random.Generator, domain: str, count: int):
     loads = np.exp(rng.uniform(np.log(t_lo), np.log(t_hi), (count, 2)))
     return [(ChannelConfig(float(p1), float(p2)), TrafficLoad(float(t1), float(t2)))
             for (p1, p2), (t1, t2) in zip(powers, loads)]
+
+
+def late_rates(plan) -> tuple[float, float, int]:
+    """A synthesized schedule's late-finisher rates (shared, solo, user), in `decompose_rate`'s
+    fields: user 2 at d1 == d2, where there is no solo phase and its solo rate is 0.0."""
+    user = 1 if plan.achieved.d1 > plan.achieved.d2 else 2
+    solo = plan.phases[1].rates.as_tuple()[user - 1] if len(plan.phases) == 2 else 0.0
+    return plan.phases[0].rates.as_tuple()[user - 1], solo, user

@@ -24,14 +24,22 @@ from macct import (
     RatePair,
     TrafficLoad,
     compose,
+    constrained_contains,
+    ct_contains,
+    ct_contains_grid,
+    decompose_rate,
     dominant_extreme_points,
     gamma,
     map_rate_to_ct,
     minimize_subregion,
     minimize_weighted_sum,
     objective_d,
+    oracle_region_equivalence,
     oracle_weighted_min,
+    region_contains,
+    standard_capacity_region,
     synthesize,
+    validate,
 )
 from refvals import A_33, CFG33, LOAD_II
 
@@ -98,6 +106,38 @@ def test_numpy_int_grid_resolution_accepted():
     spec = GridSpec(np.int64(32), (0.5, 2.0), (0.5, 2.0))
     assert spec.axes()[0].size == 32
     assert spec.steps() == GridSpec(32, (0.5, 2.0), (0.5, 2.0)).steps()
+
+
+# Every public function that takes a membership tolerance refuses one that is not a real number
+# in [0, 1) before any other work: the pair and the query below are outside the region, and the
+# oracle's grid is None.
+OUTSIDE = CompletionTimePair(1.0, 1.0)
+TOL_TAKERS = {
+    "constrained_contains": lambda tol: constrained_contains(
+        CFG33, ConstrainedRateQuery(R, 1.0), tol),
+    "decompose_rate": lambda tol: decompose_rate(
+        CFG33, ConstrainedRateQuery(RatePair(0.9, 0.9), 1.0), tol),
+    "ct_contains": lambda tol: ct_contains(CFG33, LOAD_II, OUTSIDE, tol),
+    "ct_contains_grid": lambda tol: ct_contains_grid(CFG33, LOAD_II, np.ones(3), np.ones(3), tol),
+    "synthesize": lambda tol: synthesize(CFG33, LOAD_II, OUTSIDE, tol),
+    "validate": lambda tol: validate(CFG33, LOAD_II, SCHEDULE, tol),
+    "region_contains": lambda tol: region_contains(standard_capacity_region(CFG33), A_33, tol),
+    "oracle_region_equivalence": lambda tol: oracle_region_equivalence(
+        CFG33, LOAD_II, None, tol=tol),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12, 1.0, True, "1e-9", None, 1j])
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+def test_tol_rejected(name, bad):
+    assert _call_outcome(TOL_TAKERS[name], bad) == (
+        f"ValueError: tol: must be a small nonnegative number, got {bad!r}")
+
+
+@pytest.mark.parametrize("good", [0, 0.5, np.float64(1e-9), Fraction(1, 10**9)])
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+def test_real_tol_accepted(name, good):
+    assert "tol:" not in _call_outcome(TOL_TAKERS[name], good)
 
 
 # The domain of each value type: one row per input, holding the stored

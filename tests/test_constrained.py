@@ -3,20 +3,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from macct import (
+    EPS_MEM,
     ChannelConfig,
+    CompletionTimePair,
     ConstrainedRateQuery,
     InfeasibleError,
     RateDecomposition,
     RatePair,
+    TrafficLoad,
     clamp_transform,
     constrained_contains,
     constrained_slacks,
+    ct_contains,
+    ct_slacks,
     decompose_rate,
     gamma,
     region_contains,
     standard_capacity_region,
+    synthesize,
 )
-from refvals import ABAR_II, CFG33, G6
+from refvals import ABAR_II, CFG33, G6, late_rates
 
 
 def q(r1, r2, c):
@@ -59,13 +65,45 @@ class TestMembership:
     @pytest.mark.parametrize("c", [0.25, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 4.0])
     def test_numpy_scalar_c_matches_float_c(self, c):
         from macct.capacity import _gammas
-        from macct.constrained import _membership_slacks
+        from macct.constrained import _slacks
 
+        # The rate view's reading of (0.4, 0.9) at c: the bits (c*0.4, 0.9) over the times (c, 1).
         g = _gammas(CFG33)
-        expected = _membership_slacks(g, 0.4, 0.9, c)
+        expected = _slacks(g, c * 0.4, 0.9, c, 1.0)
         assert all(type(s) is float for s in expected)
         for numpy_c in (np.float64(c), np.array(c)):
-            assert [float(s) for s in _membership_slacks(g, 0.4, 0.9, numpy_c)] == list(expected)
+            got = _slacks(g, numpy_c * 0.4, 0.9, numpy_c, 1.0)
+            assert [float(s) for s in got] == list(expected)
+
+
+def test_rate_view_is_the_time_view_bit_for_bit():
+    # A query (r1, r2, c) is the bits (c*r1, r2) over the times (c, 1).  Its slacks, verdicts,
+    # split and refusal are those of the time-space functions there, compared with ==.
+    rng = np.random.default_rng(2021)
+    members = refused = 0
+    for k in range(400):
+        p1, p2 = np.exp(rng.uniform(np.log(1e-4), np.log(1e6), 2))
+        cfg = ChannelConfig(float(p1), float(p2))
+        c = 1.0 if k % 8 == 0 else float(np.exp(rng.uniform(np.log(1e-9), np.log(1e9))))
+        r1, r2 = (float(x) for x in rng.uniform(0.01, 1.1, 2) * (gamma(cfg.p1), gamma(cfg.p2)))
+        query = q(r1, r2, c)
+        load, d = TrafficLoad(c * r1, r2), CompletionTimePair(c, 1.0)
+        assert constrained_slacks(cfg, query) == ct_slacks(cfg, load, d)
+        for tol in (EPS_MEM, 0.0, 0.01):
+            assert constrained_contains(cfg, query, tol) == ct_contains(cfg, load, d, tol)
+        if ct_contains(cfg, load, d):
+            members += 1
+            dec = decompose_rate(cfg, query)
+            assert (dec.shared_phase_rate, dec.solo_phase_rate, dec.solo_user) == late_rates(
+                synthesize(cfg, load, d))
+        else:
+            refused += 1
+            with pytest.raises(InfeasibleError) as rate_view:
+                decompose_rate(cfg, query)
+            with pytest.raises(InfeasibleError) as time_view:
+                synthesize(cfg, load, d)
+            assert str(rate_view.value) == str(time_view.value)
+    assert members > 50 and refused > 50
 
 
 class TestClampTransform:

@@ -49,6 +49,7 @@ from refvals import (
     LOAD_II,
     LOAD_III,
     REFERENCE_INSTANCES,
+    late_rates,
     log_uniform_instances,
     random_instance,
     sample_members,
@@ -161,14 +162,14 @@ class TestMembership:
         # each of the grid's three time-space masks says what the sign of its
         # rate-space slack in `ct_slacks` says, clear of the tolerance edge.
         from macct.capacity import _gammas
-        from macct.ctregion import _ct_tests
+        from macct.constrained import _tests
 
         rng = np.random.default_rng(9)
         for _ in range(20):
             cfg, load = random_instance(rng)
             d1 = rng.uniform(0.05, 6.0, size=300)
             d2 = np.concatenate([rng.uniform(0.05, 6.0, size=200), d1[200:]])  # d1 == d2
-            masks = _ct_tests(_gammas(cfg), load, d1, d2, EPS_MEM)
+            masks = _tests(_gammas(cfg), load.tau1, load.tau2, d1, d2, EPS_MEM)
             assert ct_contains_grid(cfg, load, d1, d2).tolist() == [
                 ct_contains(cfg, load, CompletionTimePair(a, b)) for a, b in zip(d1, d2)
             ]
@@ -245,6 +246,12 @@ class TestMembership:
                     assert solo.active_users == {late + 1}
                     assert solo.rates.as_tuple()[late] == pytest.approx(
                         dec.solo_phase_rate, rel=0, abs=1e-11)
+                # The query's own reading, the bits (c*r1, r2) over the times (c, 1), splits
+                # them bit for bit as `decompose_rate` does.
+                c, (r1, r2) = query.c, query.rates.as_tuple()
+                reading = synthesize(cfg, TrafficLoad(c * r1, r2), CompletionTimePair(c, 1.0))
+                split = (dec.shared_phase_rate, dec.solo_phase_rate, dec.solo_user)
+                assert late_rates(reading) == split
         messages = {message for message, _ in refused}
         assert {"r1 must be finite", "c must be a positive finite ratio"} <= messages
         assert any(m.startswith("c=") and "outside the well-conditioned range" in m

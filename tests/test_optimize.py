@@ -118,6 +118,16 @@ class TestObjective:
         with pytest.raises(InfeasibleError, match=f"c=1 is infeasible: {violated}"):
             objective_d(CFG33, LOAD_II, branch, 0.5, r)
 
+    def test_underflowing_product_keeps_the_objective(self):
+        # g2*r1 underflows to 0 at this point C although the objective is finite; grouped as the
+        # late time, it is w*d1 + (1-w)*d2 of the mapped point.
+        cfg = ChannelConfig(1.1394446704163363e38, 1.1481552851831791e-26)
+        load = TrafficLoad(5.652018969684346e-186, 8.353672923777755e99)
+        c = point_c(cfg, load)
+        d = map_rate_to_ct(cfg, load, 1, c)
+        value = objective_d(cfg, load, 1, 0.3, c)
+        assert value == 0.3 * d.d1 + 0.7 * d.d2 == 1.0086309594461123e126
+
     def test_zero_divisor_and_bad_weight(self):
         with pytest.raises(ValueError):
             objective_d(CFG33, LOAD_II, 1, 0.5, RatePair(0.0, 0.5))

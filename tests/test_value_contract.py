@@ -176,6 +176,10 @@ def test_checks_run_in_order_with_their_messages():
         (Phase, (1.0, "x", {3}), "active_users must be a subset of {1, 2}"),
         (Phase, (1.0, (1.0, 0.0), {1}), "rates must be a RatePair, got (1.0, 0.0)"),
         (Phase, (1.0, RatePair(1.0, 0.0), {2}), "inactive user 1 must have rate 0"),
+        (Schedule, ([PHASE], (1.5, 1.5)), f"phases must be a tuple of Phase, got {[PHASE]!r}"),
+        (Schedule, ((PHASE, 1.5), (1.5, 1.5)),
+         f"phases must be a tuple of Phase, got {(PHASE, 1.5)!r}"),
+        (Schedule, ((PHASE,), (1.5, 1.5)), "achieved must be a CompletionTimePair, got (1.5, 1.5)"),
     ]
     for cls, args, message in cases:
         assert str(_raises(ValueError, cls, *args)) == message, (cls, args)
