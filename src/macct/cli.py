@@ -277,11 +277,11 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     exit_code = EXIT_OK
     if args.verify:
         spec = default_grid(cfg, load, settings["grid"])
-        report = (
-            oracle_minimax(cfg, load, spec)
-            if args.minimax
-            else oracle_weighted_min(cfg, load, args.weight, spec)
-        )
+        try:  # the grid oracle imports numpy
+            report = (oracle_minimax(cfg, load, spec) if args.minimax
+                      else oracle_weighted_min(cfg, load, args.weight, spec))
+        except ImportError as err:
+            raise ValueError(f"--verify needs numpy: {err}") from None
         # The closed form may undercut the grid by at most the gap bound and
         # exceed it only by rounding dust, both slacks relative to the oracle's value.
         oracle = report.optimum_value

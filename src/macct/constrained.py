@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import Gammas, _gammas, gamma
-from .types import EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite, _require_tol
+from .types import (EPS_MEM, _INF, ChannelConfig, InfeasibleError, RatePair, _require_finite,
+                    _require_tol, _scaled)
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -185,6 +186,8 @@ def _split(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple[f
         user, bits, early, late, g_late = 1, tau1, d2, d1, g[0]
     else:
         user, bits, early, late, g_late = 2, tau2, d1, d2, g[1]
+    if g_late * late == _INF:  # read over late's power of two, the rates are the same
+        bits, early, late = _scaled(late, bits, early, late)
     solo_time = late - early
     if solo_time == 0.0:
         return bits / early, 0.0, user

@@ -24,8 +24,9 @@ r2/r1 = tau2/tau1 exits the capacity pentagon (point C):
     Case III -- C on the r2 = gamma(P2) face.
 
 At c = 1 the region is the pentagon, so the equal-time vertex is Cbar = (t, t)
-with t = max(tau1/gamma(P1), tau2/gamma(P2), (tau1+tau2)/gamma(P1+P2)), and the
-case is the face whose floor attains that max (`_equal_time`).
+with t = max(tau1/gamma(P1), tau2/gamma(P2), (tau1+tau2)/gamma(P1+P2)), the
+case is the face whose floor attains that max, and point C is the load over
+that floor; `_equal_time` gives all three from one reading of the floors.
 
 One rule covers all three cases: D1 holds the pentagon corners (A, B) that
 lie below the demand ray and D2 those above it (`_PIECE_CORNERS`).  A piece
@@ -41,7 +42,6 @@ equal-time vertex Cbar.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
@@ -60,6 +60,7 @@ from .types import (
     RatePair,
     TrafficLoad,
     _require_tol,
+    _scaled,
     _user_index,
 )
 
@@ -107,56 +108,35 @@ def classify_case(cfg: ChannelConfig, load: TrafficLoad) -> Case:
     return _equal_time(_gammas(cfg), load)[1]
 
 
-def _unit_floors(g: Gammas, load: TrafficLoad) -> tuple[float, float, float, float, float, float]:
-    """(tau1, tau2, t, f1, f2, fs): the load over a power of two, its c = 1 floors tau1/g1, tau2/g2
-    and tau1/g12 + tau2/g12 (a sum of quotients, exact under a user swap), and t, the largest
-    floor of the load itself.  The load is kept unless t overflows or falls below the normal
-    range; the exact power-of-two scaling then keeps the case and point C finite and precise.
-    """
+def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None, tuple]:
+    """(t, case, adjacent, c) from the c = 1 floors tau1/g1, tau2/g2 and tau1/g12 + tau2/g12 (a
+    sum of quotients, exact under a user swap): Cbar = (t, t) with t the largest (inf beyond the
+    float range), the case whose floor attains it, the runner-up's case when its floor ties t
+    within `_BOUNDARY_REL_TOL` (else None), and point C, the load over the winning floor with a
+    solo face's level exact.  Where t is not a normal float, case and C read the scaled load."""
     tau1, tau2 = load.tau1, load.tau2
     f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
     t = max(f1, f2, fs)
     if not _TINY <= t < _INF:
-        e = math.frexp(max(tau1, tau2))[1]
-        tau1, tau2 = math.ldexp(tau1, -e), math.ldexp(tau2, -e)
+        tau1, tau2 = _scaled(max(tau1, tau2), tau1, tau2)
         f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
-    return tau1, tau2, t, f1, f2, fs
-
-
-def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None]:
-    """(t, case, adjacent): Cbar = (t, t) with t the largest c = 1 floor (inf beyond the float
-    range), the case whose face's floor attains it, and the runner-up's case when its floor ties
-    t within `_BOUNDARY_REL_TOL` (the load is on that boundary), else None.
-    """
-    _, _, t, f1, f2, fs = _unit_floors(g, load)
     # Exactly, a solo floor >= fs is the max; where g12 rounds to g1, f1 >= fs holds even when f2
     # is far larger, so each solo floor is tested against both others.
     if f1 >= fs and f1 >= f2:
-        case, top = Case.I, f1
+        case, top, c = Case.I, f1, (g[0], tau2 / f1)
         second, runner_up = (fs, Case.II) if fs >= f2 else (f2, Case.III)
     elif f2 >= fs:
-        case, top = Case.III, f2
+        case, top, c = Case.III, f2, (tau1 / f2, g[1])
         second, runner_up = (fs, Case.II) if fs >= f1 else (f1, Case.I)
     else:
-        case, top = Case.II, fs
+        case, top, c = Case.II, fs, (tau1 / fs, tau2 / fs)
         second, runner_up = (f1, Case.I) if f1 >= f2 else (f2, Case.III)
-    return t, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None
+    return t, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None, c
 
 
 def point_c(cfg: ChannelConfig, load: TrafficLoad) -> RatePair:
     """Where the demand ray r2/r1 = tau2/tau1 meets the pentagon face of the load's case."""
-    g = _gammas(cfg)
-    return RatePair(*_point_c(g, load, _equal_time(g, load)[1]))
-
-
-def _point_c(g: Gammas, load: TrafficLoad, case: Case) -> tuple[float, float]:
-    """The load over the c = 1 floor of the case's face, with a solo face's own level exact."""
-    tau1, tau2, _, f1, f2, fs = _unit_floors(g, load)
-    if case is Case.I:
-        return g[0], tau2 / f1
-    if case is Case.III:
-        return tau1 / f2, g[1]
-    return tau1 / fs, tau2 / fs
+    return RatePair(*_equal_time(_gammas(cfg), load)[3])
 
 
 def map_rate_to_ct(
@@ -252,7 +232,7 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     membership agrees with `ct_contains`.
     """
     g = _gammas(cfg)
-    t, case, _ = _equal_time(g, load)
+    t, case, _, _ = _equal_time(g, load)
     if not 0.0 < t < _INF:
         CompletionTimePair(t, t)  # raises the value type's ValueError
     a, b = _corners(g)

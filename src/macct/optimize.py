@@ -179,7 +179,7 @@ def _cross_checked(
     its solution must have the same value.
     """
     g = _gammas(cfg)
-    t, case, adjacent = _equal_time(g, load)
+    t, case, adjacent, _ = _equal_time(g, load)
     solution = _solve(g, load, w, t, row(case))
     if adjacent is not None:
         primary = solution.optimal_value

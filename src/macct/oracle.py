@@ -40,6 +40,7 @@ from .types import (
     _require_finite,
     _require_tol,
     _require_unit_interval,
+    _scaled,
     _user_index,
 )
 
@@ -213,10 +214,13 @@ def dominant_extreme_points(
     every point another candidate dominates.
     """
     side = (1.0, -1.0)[_user_index("branch", branch) - 1]
+    tau1, tau2 = load.tau1, load.tau2
+    if not max(tau1, tau2) * _gammas(cfg)[2] < math.inf:  # r_i*tau_j may overflow (r_i <= g12)
+        tau1, tau2 = _scaled(max(tau1, tau2), tau1, tau2)
     candidates = [("C", point_c(cfg, load))] + [
         (label, RatePair(r1, r2))
         for label, (r1, r2) in standard_capacity_region(cfg).vertices
-        if side * (r1 * load.tau2 - r2 * load.tau1) >= 0.0
+        if side * (r1 * tau2 - r2 * tau1) >= 0.0
     ]
     return sorted(
         (label, r)

@@ -52,6 +52,12 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _scaled(top: float, *values: float) -> tuple[float, ...]:
+    """values over the power of two that puts top in [0.5, 1), exact while each stays normal."""
+    e = math.frexp(top)[1]
+    return tuple(math.ldexp(v, -e) for v in values)
+
+
 def _require_fields(
     obj, names: tuple[str, ...], values: tuple, floor: float, rule: str = ""
 ) -> None:

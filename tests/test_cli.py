@@ -416,6 +416,16 @@ class TestLazyNumpy:
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.3", "--verify", "--grid", "64"]
         assert probe(argv) == {"rc": 0, "numpy": True}
 
+    @pytest.mark.parametrize("target", [["--weight", "0.3"], ["--minimax"]])
+    def test_verify_without_numpy_exits_2_naming_it(self, target):
+        argv = ["minimize", *CASE_FLAGS["case_II"], *target, "--verify", "--grid", "64"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: --verify needs numpy: "), done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr  # one line, no traceback
+
     def test_reference_check_does_not_import_numpy(self):
         # The benchmark's set-up loads tests/refvals.py by path and checks the library against
         # its frozen values; the sampling helpers import numpy only when they are called.
@@ -427,6 +437,13 @@ class TestLazyNumpy:
         cfg, load = refvals.random_instance(np.random.default_rng(5), "II")
         assert got == {"numpy": False, "instance": [cfg.p1, cfg.p2, load.tau1, load.tau2]}
 
+
+_NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None  # as if numpy were not installed
+import macct.cli
+sys.exit(macct.cli.main(sys.argv[1:]))
+"""
 
 _REFVALS_PROBE = """
 import importlib.util, json, sys

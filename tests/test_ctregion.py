@@ -85,16 +85,18 @@ class TestPointC:
         assert point_c(CFG33, LOAD_III).as_tuple() == pytest.approx((0.2, 1.0), abs=1e-15)
 
     def test_case_formulas_agree_on_boundary(self):
-        from macct.capacity import _gammas
-        from macct.ctregion import _point_c
-
+        # On the I/II boundary and a relative 1e-13 to either side of it, C is read off the
+        # Case I face on one side and the sum face on the other; both give corner B.
         g1, g12 = gamma(3.0), gamma(6.0)
-        load = TrafficLoad(g1, g12 - g1)  # exactly on the I/II boundary
-        via_i = _point_c(_gammas(CFG33), load, Case.I)
-        via_ii = _point_c(_gammas(CFG33), load, Case.II)
-        assert via_i == pytest.approx(via_ii, rel=1e-12)
-        b = corner_points(CFG33)[1]
-        assert via_i == pytest.approx(b.as_tuple(), rel=1e-12)
+        b = corner_points(CFG33)[1].as_tuple()
+        by_case = {}
+        for nudge in (1.0 - 1e-13, 1.0, 1.0 + 1e-13):
+            load = TrafficLoad(g1, (g12 - g1) * nudge)
+            c = point_c(CFG33, load).as_tuple()
+            by_case.setdefault(classify_case(CFG33, load), c)
+            assert c == pytest.approx(b, rel=1e-12)
+        assert set(by_case) == {Case.I, Case.II}
+        assert by_case[Case.I] == pytest.approx(by_case[Case.II], rel=1e-12)
 
     def test_on_demand_ray(self):
         rng = np.random.default_rng(6)
@@ -480,15 +482,14 @@ def test_both_branch_maps_send_point_c_to_cbar():
     import sys
 
     from macct.capacity import _gammas
-    from macct.ctregion import _equal_time, _map_rate_to_ct, _point_c
+    from macct.ctregion import _equal_time, _map_rate_to_ct
 
     rng = np.random.default_rng(3)
     for domain in DOMAINS:
         checked = 0
         for cfg, load in log_uniform_instances(rng, domain, 300):
             g = _gammas(cfg)
-            t, case, _ = _equal_time(g, load)
-            c = _point_c(g, load, case)
+            t, _, _, c = _equal_time(g, load)
             if min(c) * min(g[0], g[1]) < sys.float_info.min:
                 continue
             checked += 1

@@ -31,7 +31,9 @@ from macct import (
     outer_bound,
     point_c,
     region_contains,
+    synthesize,
     thresholds,
+    validate,
 )
 from refvals import DOMAINS, log_uniform_instances
 
@@ -125,6 +127,52 @@ def test_underflowing_branch_product_maps_point_c_to_cbar():
     for branch in (1, 2):
         d = map_rate_to_ct(cfg, load, branch, point_c(cfg, load))
         assert abs(d.d1 - t) <= 4 * math.ulp(t) and abs(d.d2 - t) <= 4 * math.ulp(t), branch
+
+
+
+def _top_of_range(load):
+    return TrafficLoad(math.ldexp(load.tau1, 1020), math.ldexp(load.tau2, 1020))
+
+
+def test_loads_at_the_top_of_the_float_range_scale_exactly():
+    # Times scale with the loads, so the case, point C, the side of the demand ray each vertex
+    # lies on, the thresholds and a schedule's rates are those of the load over 2^1020.  Products
+    # such as r1*tau2 and g*d overflow there; each reader scales by an exact power of two.  Pinned:
+    # at tau = (1e308, 1e308) both of B's ray-side products overflow, so branch 2 gave [A, C] for
+    # [A, B]; the second channel's w = 0 schedule delivered 1.0635e308 of user 1's 1.0934e308 bits.
+    rng = np.random.default_rng(5)
+    powers = np.exp(rng.uniform(math.log(1e-2), math.log(1e8), (300, 2)))
+    loads = rng.uniform(1.0, 15.0, (300, 2))
+    top = math.ldexp(1e308, -1020)
+    instances = [(ChannelConfig(100.0, 1e10), TrafficLoad(top, top)),
+                 (ChannelConfig(94746244.49510172, 90555830.22060043),
+                  TrafficLoad(9.731284362789648, 6.799057419805062)),
+                 *((ChannelConfig(*map(float, p)), TrafficLoad(*map(float, t)))
+                   for p, t in zip(powers, loads))]
+    answered = 0
+    for cfg, unit in instances:
+        load = _top_of_range(unit)
+        assert classify_case(cfg, load) is classify_case(cfg, unit), (cfg, unit)
+        assert point_c(cfg, load) == point_c(cfg, unit), (cfg, unit)
+        assert thresholds(cfg, load) == thresholds(cfg, unit), (cfg, unit)
+        for branch in (1, 2):
+            assert (dominant_extreme_points(cfg, load, branch)
+                    == dominant_extreme_points(cfg, unit, branch)), (cfg, unit, branch)
+        for w in (0.0, 0.3, 1.0):
+            want = minimize_weighted_sum(cfg, unit, w)
+            try:
+                got = minimize_weighted_sum(cfg, load, w)
+            except ValueError:  # an optimal time beyond the float range
+                continue
+            answered += 1
+            assert got.optimizer_point == CompletionTimePair(
+                *(math.ldexp(x, 1020) for x in want.optimizer_point.as_tuple()))
+            plan = synthesize(cfg, load, got.optimizer_point)
+            assert validate(cfg, load, plan).ok, (cfg, unit, w, validate(cfg, load, plan))
+            unit_plan = synthesize(cfg, unit, want.optimizer_point)
+            assert [p.rates for p in plan.phases] == [p.rates for p in unit_plan.phases]
+    assert answered > 400
+    assert [x for x, _ in dominant_extreme_points(*instances[0], 2)] == ["A", "B"]
 
 
 # The calls that derive the gammas and the c = 1 floors of a channel and a load.

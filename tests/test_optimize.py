@@ -397,7 +397,7 @@ def test_case_ii_load_is_cross_checked_against_the_case_across_the_boundary(
         load = TrafficLoad(1.0, (g12 - g1) / g1 * (1.0 + 1e-13))
     else:  # just below the II/III boundary ratio g2/(g12 - g2)
         load = TrafficLoad((g12 - g2) / g2 * (1.0 + 1e-13), 1.0)
-    t, case, adjacent = _equal_time(g, load)
+    t, case, adjacent, _ = _equal_time(g, load)
     assert (case, adjacent) == (Case.II, perturbed_case)
     value, want_ii = (minimize_weighted_sum(CFG33, x, 0.0) for x in (load, LOAD_II))
     adjacent_row = optimize._FULL_ROWS[perturbed_case]
