@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+# Each handler imports the layers only it runs (`optimize`, `oracle`, `schedule`): a child
+# process compiles no module its subcommand does not use.
 from .ctregion import (
     boundary_polyline,
     build_region,
@@ -25,9 +27,6 @@ from .ctregion import (
     ct_contains,
     ct_slacks,
 )
-from .oracle import _require_resolution, default_grid, oracle_minimax, oracle_weighted_min
-from .optimize import minimax, minimize_weighted_sum
-from .schedule import synthesize, validate
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -35,6 +34,7 @@ from .types import (
     ConsistencyError,
     InfeasibleError,
     TrafficLoad,
+    _require_resolution,
     _require_tol,
 )
 
@@ -200,7 +200,7 @@ def _pair(d: CompletionTimePair) -> dict[str, float]:
 
 def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     desc = build_region(cfg, load)
-    value, point = minimax(cfg, load)
+    _, (value, _) = desc.piece_d1.vertices[-1]  # Cbar = (t, t), the minimax point
     box = settings["bbox_scale"] * value
     polyline = boundary_polyline(cfg, load, box, box)
     if args.csv:
@@ -228,7 +228,7 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             "d1_min": r12(desc.piece_d1.halfplanes[0].c),
             "d2_min": r12(desc.piece_d1.halfplanes[1].c),
         },
-        "minimax": {"value": r12(value), **_pair(point)},
+        "minimax": {"value": r12(value), "d1": r12(value), "d2": r12(value)},
         "bounding_box": {"d1_max": r12(box), "d2_max": r12(box)},
         "boundary_polyline": [[r12(x), r12(y)] for x, y in polyline],
     })
@@ -261,6 +261,8 @@ def _cmd_check(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
 
 
 def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
+    from .optimize import minimax, minimize_weighted_sum
+
     case = classify_case(cfg, load)
     if args.minimax:
         value, point = minimax(cfg, load)
@@ -276,6 +278,8 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     doc.update(value=r12(value), point=_pair(point), cell=f"Case {case.value}, {cell}", tie=tie)
     exit_code = EXIT_OK
     if args.verify:
+        from .oracle import default_grid, oracle_minimax, oracle_weighted_min
+
         spec = default_grid(cfg, load, settings["grid"])
         try:  # the grid oracle imports numpy
             report = (oracle_minimax(cfg, load, spec) if args.minimax
@@ -306,6 +310,8 @@ def _cmd_minimize(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
 
 
 def _cmd_schedule(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
+    from .schedule import synthesize, validate
+
     d = _parse_pair(args)
     schedule = synthesize(cfg, load, d, settings["tol"])  # raises InfeasibleError
     report = validate(cfg, load, schedule, settings["tol"])

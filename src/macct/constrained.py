@@ -101,8 +101,13 @@ def _tests(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float) -> tuple:
     return l1 >= r1, l2 >= r2, (d1 <= d2) & (l3 >= r3) | (d1 >= d2) & (l4 >= r4)
 
 
-def _member(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float):
-    """Membership of (d1, d2): a bool for floats, the elementwise mask for arrays."""
+def _member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> bool:
+    """Membership of the float pair (d1, d2).  Every side is a rate times a time or a load, so
+    where a rate level times the times may overflow the four are read over a power of two
+    (exact while each stays normal): tol < 1 and s_i <= g_i <= g12 bound each level.  Arrays
+    (`ct_contains_grid`) read `_tests` unscaled."""
+    if not (g[2] + 1.0) * (d1 + d2) < _INF:
+        tau1, tau2, d1, d2 = _scaled(max(d1, d2), tau1, tau2, d1, d2)
     solo_1, solo_2, sum_face = _tests(g, tau1, tau2, d1, d2, tol)
     return solo_1 & solo_2 & sum_face
 
@@ -110,7 +115,10 @@ def _member(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float):
 def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
     """The three tests at tol 0 as rates, left minus right over the rate's block length: d_i for
     user i's solo floor, min(d1, d2) for the first finisher's sum face (at d1 == d2, where either
-    face admits the pair, the larger).  A rate tau_i/d_i beyond the float range gives -inf."""
+    face admits the pair, the larger).  Scaled as `_member` scales, the divisors too.  A rate
+    tau_i/d_i beyond the float range gives -inf."""
+    if not (g[2] + 1.0) * (d1 + d2) < _INF:
+        tau1, tau2, d1, d2 = _scaled(max(d1, d2), tau1, tau2, d1, d2)
     l1, r1, l2, r2, l3, r3, l4, r4 = _sides(g, tau1, tau2, d1, d2, 0.0)
     sum_1, sum_2 = (l3 - r3) / d1, (l4 - r4) / d2
     return ((l1 - r1) / d1, (l2 - r2) / d2,
@@ -119,7 +127,8 @@ def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
 
 def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> str:
     """`"<name> violated by <amount>"` for each failed test, comma-separated, with the rate it
-    lacks (its `_slacks` slack) as the amount; "" when the pair is a member."""
+    lacks (its `_slacks` slack) as the amount; "" when the pair is a member.  Its callers pass
+    times at which no product overflows: a phase's (1, 1), or the pair `_require_member` scaled."""
     tests = _tests(g, tau1, tau2, d1, d2, tol)
     if tests[0] and tests[1] and tests[2]:  # the common case: nothing to report
         return ""
@@ -128,7 +137,10 @@ def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: 
 
 
 def _require_member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> None:
-    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region."""
+    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region; read
+    as `_member` reads it (the rates and c in the message are the same either way)."""
+    if not (g[2] + 1.0) * (d1 + d2) < _INF:
+        tau1, tau2, d1, d2 = _scaled(max(d1, d2), tau1, tau2, d1, d2)
     violated = _violations(g, tau1, tau2, d1, d2, tol)
     if violated:
         raise InfeasibleError(f"rate pair ({tau1 / d1:.6g}, {tau2 / d2:.6g}) at c={d1 / d2:.6g} "

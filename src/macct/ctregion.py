@@ -49,7 +49,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import Gammas, _corners, _gammas, gamma
-from .constrained import _NAMES, _member, _require_member, _slacks
+from .constrained import _NAMES, _member, _require_member, _slacks, _tests
 from .types import (
     EPS_MEM,
     _INF,
@@ -201,7 +201,8 @@ def ct_contains_grid(
 ) -> np.ndarray:
     """Vectorized `ct_contains` over positive arrays d1, d2 (broadcastable)."""
     _require_tol(tol)
-    return _member(_gammas(cfg), load.tau1, load.tau2, d1, d2, tol)
+    solo_1, solo_2, sum_face = _tests(_gammas(cfg), load.tau1, load.tau2, d1, d2, tol)
+    return solo_1 & solo_2 & sum_face
 
 
 def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:

@@ -19,9 +19,7 @@ compares two membership tests point by point and stays an N^2 sweep.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import operator
 from dataclasses import dataclass
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
@@ -38,23 +36,12 @@ from .types import (
     RatePair,
     TrafficLoad,
     _require_finite,
+    _require_resolution,
     _require_tol,
     _require_unit_interval,
     _scaled,
     _user_index,
 )
-
-_MIN_RESOLUTION = 16
-
-
-def _require_resolution(resolution: int) -> None:
-    """Refuse a grid resolution that is not an int of at least `_MIN_RESOLUTION`."""
-    value = -1  # a non-integer stays below the minimum
-    with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
-        value = operator.index(resolution)
-    if value < _MIN_RESOLUTION:
-        raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, got {resolution!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:

@@ -108,6 +108,18 @@ def _require_tol(tol: float) -> None:
             raise ValueError(f"tol: must be a small nonnegative number, got {tol!r}")
 
 
+_MIN_RESOLUTION = 16
+
+
+def _require_resolution(resolution: int) -> None:
+    """Refuse a grid resolution that is not an int of at least `_MIN_RESOLUTION`."""
+    value = -1  # a non-integer stays below the minimum
+    with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
+        value = operator.index(resolution)
+    if value < _MIN_RESOLUTION:
+        raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, got {resolution!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelConfig:
     """Two-user Gaussian multi-access channel, receive powers in linear SNR."""

@@ -273,10 +273,12 @@ def _wrong_closed_form_exit_code() -> int:
     """Exit code of --verify when the closed form is deliberately wrong."""
     from unittest import mock
 
+    from macct import optimize
     from macct.optimize import WeightedSumSolution
 
     fake = WeightedSumSolution(0.2, 0.5, CompletionTimePair(1.0, 1.0), "A", 2, False)
-    with mock.patch.object(cli, "minimize_weighted_sum", return_value=fake):
+    # `minimize` imports the optimizer when it runs, so the defining module is patched.
+    with mock.patch.object(optimize, "minimize_weighted_sum", return_value=fake):
         return cli.main(
             ["minimize", "--p1", "3", "--p2", "3", "--tau1", "1", "--tau2", "1",
              "--weight", "0.2", "--verify", "--grid", "64"]

@@ -10,7 +10,9 @@ import pytest
 
 import macct.cli as cli
 import refvals
-from macct import CompletionTimePair, ConsistencyError, ct_contains, ct_slacks, gamma
+# The handlers import `optimize` and `schedule` when they run: a test patches a name there.
+from macct import (CompletionTimePair, ConsistencyError, ct_contains, ct_slacks, gamma, optimize,
+                   schedule)
 from refvals import CBAR_II, CFG33, LOAD_II, VALUE_W02_II
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -184,7 +186,7 @@ class TestExitCodes:
                 w, 0.5, CompletionTimePair(1.0, 1.0), "A", 2, False
             )
 
-        monkeypatch.setattr(cli, "minimize_weighted_sum", wrong)
+        monkeypatch.setattr(optimize, "minimize_weighted_sum", wrong)
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2", "--verify",
                 "--grid", "64"]
         rc, out, _ = run(argv, capsys)
@@ -195,7 +197,7 @@ class TestExitCodes:
         def inconsistent(cfg, load):
             raise ConsistencyError("minimax value disagrees across the case boundary")
 
-        monkeypatch.setattr(cli, "minimax", inconsistent)
+        monkeypatch.setattr(optimize, "minimax", inconsistent)
         rc, out, err = run(["minimize", *CASE_FLAGS["case_II"], "--minimax"], capsys)
         assert rc == 4
         assert out == ""
@@ -222,7 +224,7 @@ class TestExitCodes:
         from macct.schedule import ValidationReport
 
         monkeypatch.setattr(
-            cli, "validate", lambda *args: ValidationReport(False, ("achieved pair differs",))
+            schedule, "validate", lambda *args: ValidationReport(False, ("achieved pair differs",))
         )
         rc, out, _ = run(["schedule", *CASE_FLAGS["case_II"], "1.5", "1.5"], capsys)
         assert rc == 3
@@ -236,13 +238,13 @@ class TestExitCodes:
         # optimum fails however small the load.
         import dataclasses
 
-        honest = cli.minimize_weighted_sum
+        honest = optimize.minimize_weighted_sum
 
         def doubled(cfg, load, w):
             solution = honest(cfg, load, w)
             return dataclasses.replace(solution, optimal_value=2.0 * solution.optimal_value)
 
-        monkeypatch.setattr(cli, "minimize_weighted_sum", doubled)
+        monkeypatch.setattr(optimize, "minimize_weighted_sum", doubled)
         argv = ["minimize", "--p1", "3", "--p2", "3", "--tau1", tau, "--tau2", tau,
                 "--weight", "0.3", "--verify", "--grid", "101"]
         rc, out, _ = run(argv, capsys)
@@ -380,13 +382,14 @@ rc = None
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = macct.cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules,
+                  "layers": sorted(m[6:] for m in sys.modules if m.startswith("macct."))}))
 """
 
 
 def probe(argv):
-    """Run `cli.main(argv)` in a fresh interpreter; report its exit code and
-    whether numpy got imported."""
+    """Run `cli.main(argv)` in a fresh interpreter; report its exit code, whether numpy got
+    imported and the `macct.*` modules loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
@@ -395,26 +398,34 @@ def probe(argv):
     return json.loads(done.stdout)
 
 
+# The modules `macct.cli` loads for every subcommand: it checks every setting with `types` and
+# each subcommand reads the region's floors or its membership tests.
+_CLI_LAYERS = ["capacity", "cli", "constrained", "ctregion", "types"]
+
+
 class TestLazyNumpy:
+    # Each scalar path also loads only the layers its subcommand runs.
     @pytest.mark.parametrize(
-        "argv",
+        "argv, extra",
         [
-            [],
-            ["region", *CASE_FLAGS["case_II"]],
-            ["region", *CASE_FLAGS["case_II"], "--csv"],
-            ["check", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"],
-            ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2"],
-            ["minimize", *CASE_FLAGS["case_II"], "--minimax"],
-            ["schedule", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"],
+            ([], []),
+            (["region", *CASE_FLAGS["case_II"]], []),
+            (["region", *CASE_FLAGS["case_II"], "--csv"], []),
+            (["check", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"], []),
+            (["minimize", *CASE_FLAGS["case_II"], "--weight", "0.2"], ["optimize"]),
+            (["minimize", *CASE_FLAGS["case_II"], "--minimax"], ["optimize"]),
+            (["schedule", *CASE_FLAGS["case_II"], "1.5963225389711979", "1"], ["schedule"]),
         ],
         ids=["import", "region", "region_csv", "check", "weight", "minimax", "schedule"],
     )
-    def test_scalar_paths_do_not_import_numpy(self, argv):
-        assert probe(argv) == {"rc": None if not argv else 0, "numpy": False}
+    def test_scalar_paths_do_not_import_numpy(self, argv, extra):
+        assert probe(argv) == {"rc": None if not argv else 0, "numpy": False,
+                               "layers": sorted([*_CLI_LAYERS, *extra])}
 
     def test_verify_imports_numpy(self):
         argv = ["minimize", *CASE_FLAGS["case_II"], "--weight", "0.3", "--verify", "--grid", "64"]
-        assert probe(argv) == {"rc": 0, "numpy": True}
+        assert probe(argv) == {"rc": 0, "numpy": True,
+                               "layers": sorted([*_CLI_LAYERS, "optimize", "oracle"])}
 
     @pytest.mark.parametrize("target", [["--weight", "0.3"], ["--minimax"]])
     def test_verify_without_numpy_exits_2_naming_it(self, target):
@@ -437,6 +448,44 @@ class TestLazyNumpy:
         cfg, load = refvals.random_instance(np.random.default_rng(5), "II")
         assert got == {"numpy": False, "instance": [cfg.p1, cfg.p2, load.tau1, load.tau2]}
 
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("name", ["gamma", "EPS_MEM", "ValidationReport", "optimize", "types"])
+    def test_first_public_name_or_layer_loads_all_seven(self, name):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE, name], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "after_import": [],
+            "dir_lists_all": True,
+            "after_first_name": ["capacity", "constrained", "ctregion", "optimize", "oracle",
+                                 "schedule", "types"],
+            "cli_before_import": "AttributeError",
+            "cli_after_import": "macct.cli",
+        }
+
+
+_PACKAGE_PROBE = """
+import json, sys
+import macct
+
+def layers():
+    return sorted(m[6:] for m in sys.modules if m.startswith("macct."))
+
+def cli():
+    try:
+        return macct.cli.__name__
+    except AttributeError:
+        return "AttributeError"
+
+report = {"after_import": layers(), "dir_lists_all": set(macct.__all__) <= set(dir(macct))}
+getattr(macct, sys.argv[1])
+report.update(after_first_name=layers(), cli_before_import=cli())
+import macct.cli
+report["cli_after_import"] = cli()
+print(json.dumps(report))
+"""
 
 _NO_NUMPY_PROBE = """
 import sys

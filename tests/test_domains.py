@@ -15,11 +15,14 @@ from macct import (
     Case,
     ChannelConfig,
     CompletionTimePair,
+    EPS_MEM,
     ConsistencyError,
+    InfeasibleError,
     TrafficLoad,
     build_region,
     classify_case,
     ct_contains,
+    ct_slacks,
     default_grid,
     dominant_extreme_points,
     equal_time_vertex,
@@ -173,6 +176,51 @@ def test_loads_at_the_top_of_the_float_range_scale_exactly():
             assert [p.rates for p in plan.phases] == [p.rates for p in unit_plan.phases]
     assert answered > 400
     assert [x for x, _ in dominant_extreme_points(*instances[0], 2)] == ["A", "B"]
+
+
+def test_membership_at_the_top_of_the_float_range_reads_the_unscaled_pair():
+    # The sides multiply a rate level by a time: here g1*d1 overflows to inf, so the sum face
+    # read inf - tau1 >= ... and admitted the pair, its slacks were inf, and `synthesize` built a
+    # schedule that `validate` rejected.  Read over a power of two they are the unscaled pair's.
+    cfg = ChannelConfig(1477675.2549799571, 3313244.3906333917)
+    unit = TrafficLoad(13.791413870536408, 11.527086425437895)
+    d = CompletionTimePair(2.154585375532471, 1.4593230884843469)
+    load = _top_of_range(unit)
+    top = CompletionTimePair(math.ldexp(d.d1, 1020), math.ldexp(d.d2, 1020))
+    assert ct_contains(cfg, load, top, 0.0) is ct_contains(cfg, unit, d, 0.0) is False
+    assert ct_contains(cfg, load, top) is ct_contains(cfg, unit, d) is False
+    assert ct_slacks(cfg, load, top) == ct_slacks(cfg, unit, d)
+    assert ct_slacks(cfg, unit, d)["sum_rate"] == pytest.approx(-1.3713755, rel=1e-6)
+    refusals = []
+    for at_load, pair in ((load, top), (unit, d)):
+        with pytest.raises(InfeasibleError) as err:
+            synthesize(cfg, at_load, pair)
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1]
+    assert refusals[1] == ("rate pair (6.40096, 7.89893) at c=1.47643 is infeasible: "
+                           "sum_rate violated by 1.37")
+
+
+def test_membership_at_the_top_of_the_float_range_agrees_with_the_unscaled_load():
+    # Pairs t*U(0.3, 3) per axis around the minimax time t, at 2^1020 and unscaled: every
+    # verdict and slack is the same (26 of 8,400 verdicts at tol 0 differed before the scaling).
+    rng = np.random.default_rng(3)
+    powers = np.exp(rng.uniform(math.log(1e-2), math.log(1e8), (500, 2)))
+    loads = rng.uniform(1.0, 15.0, (500, 2))
+    compared = 0
+    for p, t in zip(powers, loads):
+        cfg, unit = ChannelConfig(*map(float, p)), TrafficLoad(*map(float, t))
+        load, value = _top_of_range(unit), minimax(cfg, unit)[0]
+        for a, b in rng.uniform(0.3, 3.0, (30, 2)).tolist():
+            d = CompletionTimePair(value * a, value * b)
+            if max(d.d1, d.d2) >= 16.0:  # beyond the float range at 2^1020
+                continue
+            top = CompletionTimePair(math.ldexp(d.d1, 1020), math.ldexp(d.d2, 1020))
+            for tol in (0.0, EPS_MEM):
+                assert ct_contains(cfg, load, top, tol) is ct_contains(cfg, unit, d, tol)
+            assert ct_slacks(cfg, load, top) == ct_slacks(cfg, unit, d), (cfg, unit, d)
+            compared += 1
+    assert compared == 8400
 
 
 # The calls that derive the gammas and the c = 1 floors of a channel and a load.
