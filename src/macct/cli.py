@@ -26,6 +26,7 @@ from .ctregion import (
     classify_case,
     ct_contains,
     ct_slacks,
+    equal_time_vertex,
 )
 from .types import (
     EPS_MEM,
@@ -200,7 +201,8 @@ def _pair(d: CompletionTimePair) -> dict[str, float]:
 
 def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
     desc = build_region(cfg, load)
-    _, (value, _) = desc.piece_d1.vertices[-1]  # Cbar = (t, t), the minimax point
+    point = equal_time_vertex(cfg, load)  # Cbar = (t, t), the minimax point
+    value = point.d1
     box = settings["bbox_scale"] * value
     polyline = boundary_polyline(cfg, load, box, box)
     if args.csv:
@@ -228,7 +230,7 @@ def _cmd_region(args, settings, cfg: ChannelConfig, load: TrafficLoad) -> int:
             "d1_min": r12(desc.piece_d1.halfplanes[0].c),
             "d2_min": r12(desc.piece_d1.halfplanes[1].c),
         },
-        "minimax": {"value": r12(value), "d1": r12(value), "d2": r12(value)},
+        "minimax": {"value": r12(value), **_pair(point)},
         "bounding_box": {"d1_max": r12(box), "d2_max": r12(box)},
         "boundary_polyline": [[r12(x), r12(y)] for x, y in polyline],
     })

@@ -26,10 +26,11 @@ reads it at c = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ldexp
 
 from .capacity import Gammas, _gammas, gamma
 from .types import (EPS_MEM, _INF, ChannelConfig, InfeasibleError, RatePair, _require_finite,
-                    _require_tol, _scaled)
+                    _require_tol)
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -101,13 +102,21 @@ def _tests(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float) -> tuple:
     return l1 >= r1, l2 >= r2, (d1 <= d2) & (l3 >= r3) | (d1 >= d2) & (l4 >= r4)
 
 
+def _in_range(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
+    """(tau1, tau2, d1, d2), over 2^12 where a rate level times the times may overflow.  Every
+    side is a rate times a time or a load, each level below g12 + 1 (tol < 1, s_i <= g_i <= g12)
+    and g12 <= 2^9, so (g12 + 1)*(d1 + d2) < 2^1035 and over 2^12 every product is finite.  The
+    verdicts and slacks are the unscaled pair's while each value stays normal (above 2^-1010):
+    a shift to the larger time's power of two would drop a small time's bits."""
+    if (g[2] + 1.0) * (d1 + d2) < _INF:
+        return tau1, tau2, d1, d2
+    return ldexp(tau1, -12), ldexp(tau2, -12), ldexp(d1, -12), ldexp(d2, -12)
+
+
 def _member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> bool:
-    """Membership of the float pair (d1, d2).  Every side is a rate times a time or a load, so
-    where a rate level times the times may overflow the four are read over a power of two
-    (exact while each stays normal): tol < 1 and s_i <= g_i <= g12 bound each level.  Arrays
-    (`ct_contains_grid`) read `_tests` unscaled."""
-    if not (g[2] + 1.0) * (d1 + d2) < _INF:
-        tau1, tau2, d1, d2 = _scaled(max(d1, d2), tau1, tau2, d1, d2)
+    """Membership of the float pair (d1, d2), read `_in_range`.  Arrays (`ct_contains_grid`)
+    read `_tests` unscaled."""
+    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
     solo_1, solo_2, sum_face = _tests(g, tau1, tau2, d1, d2, tol)
     return solo_1 & solo_2 & sum_face
 
@@ -115,10 +124,9 @@ def _member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: floa
 def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
     """The three tests at tol 0 as rates, left minus right over the rate's block length: d_i for
     user i's solo floor, min(d1, d2) for the first finisher's sum face (at d1 == d2, where either
-    face admits the pair, the larger).  Scaled as `_member` scales, the divisors too.  A rate
-    tau_i/d_i beyond the float range gives -inf."""
-    if not (g[2] + 1.0) * (d1 + d2) < _INF:
-        tau1, tau2, d1, d2 = _scaled(max(d1, d2), tau1, tau2, d1, d2)
+    face admits the pair, the larger).  Read `_in_range`, the divisors too.  A rate beyond the
+    float range gives -inf or inf."""
+    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
     l1, r1, l2, r2, l3, r3, l4, r4 = _sides(g, tau1, tau2, d1, d2, 0.0)
     sum_1, sum_2 = (l3 - r3) / d1, (l4 - r4) / d2
     return ((l1 - r1) / d1, (l2 - r2) / d2,
@@ -128,7 +136,7 @@ def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
 def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> str:
     """`"<name> violated by <amount>"` for each failed test, comma-separated, with the rate it
     lacks (its `_slacks` slack) as the amount; "" when the pair is a member.  Its callers pass
-    times at which no product overflows: a phase's (1, 1), or the pair `_require_member` scaled."""
+    times read `_in_range`: a phase's (1, 1), or the pair `_require_member` read."""
     tests = _tests(g, tau1, tau2, d1, d2, tol)
     if tests[0] and tests[1] and tests[2]:  # the common case: nothing to report
         return ""
@@ -137,10 +145,9 @@ def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: 
 
 
 def _require_member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> None:
-    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region; read
-    as `_member` reads it (the rates and c in the message are the same either way)."""
-    if not (g[2] + 1.0) * (d1 + d2) < _INF:
-        tau1, tau2, d1, d2 = _scaled(max(d1, d2), tau1, tau2, d1, d2)
+    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region, read
+    `_in_range` as `_member` reads it (the rates and c in the message are the same)."""
+    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
     violated = _violations(g, tau1, tau2, d1, d2, tol)
     if violated:
         raise InfeasibleError(f"rate pair ({tau1 / d1:.6g}, {tau2 / d2:.6g}) at c={d1 / d2:.6g} "
@@ -193,13 +200,12 @@ def _split(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple[f
     user 2 at d1 == d2, with no solo phase (solo rate 0.0).  The solo phase runs as fast as it
     may, at most g_late: when it alone carries the bits the shared rate is 0.0.  Bits beyond
     g_late*late (admitted by tol) go at bits/late in both phases, not into the shared phase
-    (there they scale by late/early)."""
+    (there they scale by late/early).  Read `_in_range`, the rates are the same."""
+    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
     if d1 > d2:
         user, bits, early, late, g_late = 1, tau1, d2, d1, g[0]
     else:
         user, bits, early, late, g_late = 2, tau2, d1, d2, g[1]
-    if g_late * late == _INF:  # read over late's power of two, the rates are the same
-        bits, early, late = _scaled(late, bits, early, late)
     solo_time = late - early
     if solo_time == 0.0:
         return bits / early, 0.0, user

@@ -223,6 +223,36 @@ def test_membership_at_the_top_of_the_float_range_agrees_with_the_unscaled_load(
     assert compared == 8400
 
 
+def test_membership_beside_the_top_of_the_float_range_keeps_a_small_time():
+    # g12*(d1 + d2) overflows, so the sides are read over a power of two.  Over the larger
+    # time's (2^-1024) the time 1e-16 and its load would be 0.0: user 2's solo floor would read
+    # 0 >= 0 and admit a rate of 2 above g2 = 1, and the slacks would divide by 0.0.  Over 2^12
+    # every time above 2^-1010 stays normal, and each answer is the one read without scaling.
+    cfg = ChannelConfig(3.0, 3.0)  # g1 = g2 = 1
+    d = CompletionTimePair(1e308, 1e-16)
+    for tau2, lack in ((2e-16, "1"), (1.0, "1e+16")):
+        load = TrafficLoad(1e307, tau2)
+        for tol in (0.0, EPS_MEM):
+            assert ct_contains(cfg, load, d, tol) is False
+        assert ct_slacks(cfg, load, d) == {
+            "single_user_1": 0.9, "single_user_2": -float(lack), "sum_rate": math.inf}
+        with pytest.raises(InfeasibleError) as err:
+            synthesize(cfg, load, d)
+        assert str(err.value) == (f"rate pair (0.1, {1.0 + float(lack):.6g}) at c=inf is "
+                                  f"infeasible: single_user_2 violated by {lack}")
+    # Mirrored and feasible: unscaled, g2*d2 overflows to an inf slack for user 2; the
+    # schedule's late phase is read over 2^12 with the early time kept.
+    cfg, load = ChannelConfig(3.0, 15.0), TrafficLoad(1e-17, 1e307)  # g2 = 2
+    d = CompletionTimePair(1e-16, 1e308)
+    assert ct_contains(cfg, load, d, 0.0) is True
+    assert ct_slacks(cfg, load, d) == {
+        "single_user_1": 0.9, "single_user_2": 1.9, "sum_rate": math.inf}
+    plan = synthesize(cfg, load, d)
+    assert validate(cfg, load, plan).ok
+    assert [p.rates.as_tuple() for p in plan.phases] == [
+        (0.1, 0.0), (0.0, pytest.approx(0.1, rel=1e-15))]
+
+
 # The calls that derive the gammas and the c = 1 floors of a channel and a load.
 DERIVED = (
     build_region,
