@@ -103,12 +103,13 @@ def _tests(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float) -> tuple:
 
 
 def _in_range(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
-    """(tau1, tau2, d1, d2), over 2^12 where a rate level times the times may overflow.  Every
-    side is a rate times a time or a load, each level below g12 + 1 (tol < 1, s_i <= g_i <= g12)
-    and g12 <= 2^9, so (g12 + 1)*(d1 + d2) < 2^1035 and over 2^12 every product is finite.  The
-    verdicts and slacks are the unscaled pair's while each value stays normal (above 2^-1010):
-    a shift to the larger time's power of two would drop a small time's bits."""
-    if (g[2] + 1.0) * (d1 + d2) < _INF:
+    """(tau1, tau2, d1, d2), over 2^12 where a side or a sides' difference may overflow.  Every
+    side is a rate times a time or a load, each level below g12 + 1 (tol < 1, s_i <= g_i <= g12),
+    so a difference of sides is below (g12 + 1)*(d1 + d2) + tau1 + tau2.  g12 <= 2^9 puts that
+    below 2^1036, so over 2^12 every product and difference is finite.  The verdicts and slacks
+    are the unscaled pair's while each value stays normal (above 2^-1010): a shift to the
+    larger time's power of two would drop a small time's bits."""
+    if (g[2] + 1.0) * (d1 + d2) + (tau1 + tau2) < _INF:
         return tau1, tau2, d1, d2
     return ldexp(tau1, -12), ldexp(tau2, -12), ldexp(d1, -12), ldexp(d2, -12)
 

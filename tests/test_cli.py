@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import macct
 import macct.cli as cli
 import refvals
 # The handlers import `optimize` and `schedule` when they run: a test patches a name there.
@@ -464,6 +465,35 @@ class TestLazyPackage:
             "cli_before_import": "AttributeError",
             "cli_after_import": "macct.cli",
         }
+
+    def test_public_names_are_their_layers_objects(self):
+        # In process, after the suite's own imports have loaded every layer.
+        assert set(macct.__all__) == _PUBLIC_NAMES
+        listed = [n for names in macct._EXPORTS.values() for n in names]
+        assert len(listed) == len(set(listed)) == len(macct.__all__)  # no name under two layers
+        for layer, names in macct._EXPORTS.items():
+            for name in names:
+                assert getattr(macct, name) is getattr(getattr(macct, layer), name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'macct' has no attribute 'not_a_name'"):
+            getattr(macct, "not_a_name")
+        assert not hasattr(macct, "not_a_name")
+
+
+_PUBLIC_NAMES = {
+    "EPS_MEM", "Case", "ChannelConfig", "CompletionTimePair", "ConsistencyError",
+    "ConstrainedRateQuery", "ConvexPiece", "GridSpec", "HalfPlane", "InfeasibleError",
+    "OracleReport", "Phase", "RateDecomposition", "RatePair", "RegionDescription", "Schedule",
+    "Thresholds", "TrafficLoad", "ValidationReport", "WeightedSumSolution", "boundary_polyline",
+    "build_region", "clamp_transform", "classify_case", "compose", "constrained_contains",
+    "constrained_slacks", "corner_points", "ct_contains", "ct_contains_grid", "ct_slacks",
+    "decompose_rate", "default_grid", "dominant_extreme_points", "equal_time_vertex", "gamma",
+    "map_rate_to_ct", "minimax", "minimize_subregion", "minimize_weighted_sum", "objective_d",
+    "oracle_minimax", "oracle_region_equivalence", "oracle_weighted_min", "outer_bound",
+    "point_c", "region_contains", "standard_capacity_region", "synthesize", "thresholds",
+    "validate",
+}
 
 
 _PACKAGE_PROBE = """

@@ -199,6 +199,16 @@ def test_membership_at_the_top_of_the_float_range_reads_the_unscaled_pair():
     assert refusals[0] == refusals[1]
     assert refusals[1] == ("rate pair (6.40096, 7.89893) at c=1.47643 is infeasible: "
                            "sum_rate violated by 1.37")
+    # Here no product overflows, but the sum face's difference of sides, up to tau1 + tau2
+    # beyond them, does (it read -inf).  Over 2^100 every product scales exactly: the two agree.
+    cfg, load = ChannelConfig(3.0, 3.0), TrafficLoad(1e308, 1e308)
+    d = CompletionTimePair(1e307, 1e307)
+    low_load = TrafficLoad(math.ldexp(load.tau1, -100), math.ldexp(load.tau2, -100))
+    low = CompletionTimePair(math.ldexp(d.d1, -100), math.ldexp(d.d2, -100))
+    assert ct_slacks(cfg, load, d) == ct_slacks(cfg, low_load, low)
+    assert ct_slacks(cfg, load, d)["sum_rate"] == pytest.approx(-18.5963225, rel=1e-8)
+    for tol in (0.0, EPS_MEM):
+        assert ct_contains(cfg, load, d, tol) is ct_contains(cfg, low_load, low, tol) is False
 
 
 def test_membership_at_the_top_of_the_float_range_agrees_with_the_unscaled_load():
