@@ -16,6 +16,10 @@ single-user face, are called A and B throughout:
 
 Each difference is computed as the successive-decoding rate it equals, since
 subtracting the nearly equal logs cancels: gamma(P1/(1+P2)) and gamma(P2/(1+P1)).
+So is the gap between a corner's two rates for one user,
+
+    gamma(P1) - gamma(P1/(1+P2)) = gamma(P2) - gamma(P2/(1+P1))
+                                 = gamma(P1*P2/(1+P1+P2)).
 """
 
 from __future__ import annotations
@@ -62,10 +66,19 @@ def _gammas(cfg: ChannelConfig) -> Gammas:
             math.log1p(p1 / (1.0 + p2)) / _LN4, math.log1p(p2 / (1.0 + p1)) / _LN4)
 
 
+def _corner_gammas(cfg: ChannelConfig) -> tuple[float, ...]:
+    """The `Gammas` and, sixth, the corner gap g1 - s1 = g2 - s2 = gamma(P1*P2/(1+P1+P2)), which
+    the corner images read where the difference of the floats cancels.  Its argument is
+    lo/(1 + (1 + lo)/hi) over the smaller and larger power: no product of the powers, and a
+    quotient that overflows only where the argument underflows."""
+    p1, p2 = cfg.p1, cfg.p2
+    lo, hi = (p1, p2) if p1 <= p2 else (p2, p1)
+    return (*_gammas(cfg), math.log1p(lo / (1.0 + (1.0 + lo) / hi)) / _LN4)
+
+
 def _corners(g: Gammas) -> tuple[tuple[float, float], tuple[float, float]]:
     """Corner points A = (s1, g2) and B = (g1, s2), as plain pairs, from the `_gammas`."""
-    g1, g2, _, s1, s2 = g
-    return (s1, g2), (g1, s2)
+    return (g[3], g[1]), (g[0], g[4])  # read by index: `_corner_gammas` is longer
 
 
 def corner_points(cfg: ChannelConfig) -> tuple[RatePair, RatePair]:

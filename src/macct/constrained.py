@@ -30,7 +30,7 @@ from math import ldexp
 
 from .capacity import Gammas, _gammas, gamma
 from .types import (EPS_MEM, _INF, ChannelConfig, InfeasibleError, RatePair, _require_finite,
-                    _require_tol)
+                    _require_tol, _slot_setters, _Value)
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -42,24 +42,28 @@ _C_MIN = 1e-12
 _C_MAX = 1e12
 
 
-@dataclass(frozen=True, slots=True)
-class ConstrainedRateQuery:
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class ConstrainedRateQuery(_Value):
     """A constrained rate pair together with the block-length ratio c = n1/n2."""
 
     rates: RatePair
     c: float
 
-    def __post_init__(self) -> None:
-        c = _require_finite("c", self.c)
+    def __init__(self, rates: RatePair, c: float) -> None:
+        c = _require_finite("c", c)
         if c <= 0.0:
             raise ValueError(f"c must be a positive finite ratio, got {c!r}")
         if not _C_MIN <= c <= _C_MAX:
             raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
-        object.__setattr__(self, "c", c)
+        _set_rates(self, rates)
+        _set_c(self, c)
 
 
-@dataclass(frozen=True, slots=True)
-class RateDecomposition:
+_set_rates, _set_c = _slot_setters(ConstrainedRateQuery)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class RateDecomposition(_Value):
     """Split of the late finisher's rate into a shared-phase and a solo-phase part.
 
     With solo_user = 2 (c < 1):  R2 = c*shared + (1-c)*solo, and

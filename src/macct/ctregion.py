@@ -48,7 +48,7 @@ TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
-from .capacity import Gammas, _corners, _gammas, gamma
+from .capacity import Gammas, _corner_gammas, _corners, _gammas, gamma
 from .constrained import _NAMES, _member, _require_member, _slacks, _tests
 from .types import (
     EPS_MEM,
@@ -62,6 +62,7 @@ from .types import (
     _require_tol,
     _scaled,
     _user_index,
+    _Value,
 )
 
 
@@ -86,8 +87,8 @@ _PIECE_CORNERS: dict[Case, tuple[str, str]] = {
 _ORDER = (HalfPlane(-1.0, 1.0, 0.0), HalfPlane(1.0, -1.0, 0.0))
 
 
-@dataclass(frozen=True, slots=True)
-class RegionDescription:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class RegionDescription(_Value):
     """The region as two convex pieces plus the case label.
 
     piece_d1 covers d1 <= d2, piece_d2 covers d1 >= d2; the achievable set
@@ -156,27 +157,40 @@ def map_rate_to_ct(
 
 
 def _map_rate_to_ct(
-    g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float]
+    g: Gammas, load: TrafficLoad, branch: int, r: tuple[float, float], spare: float | None = None
 ) -> tuple[float, float]:
-    """`map_rate_to_ct` as a float pair, refused as `CompletionTimePair` refuses it.  Its callers
+    """`map_rate_to_ct` as a float pair, refused as `CompletionTimePair` refuses it.  spare is
+    the late finisher's g - r when the caller knows it better (`_corner_image`).  Its callers
     check the branch and the rate point."""
     if r[branch - 1] <= 0.0:
         raise ValueError(f"branch {branch} needs r{branch} > 0 (it divides by r{branch})")
     (r1, r2), tau1, tau2 = r, load.tau1, load.tau2
     if branch == 1:
-        d1, d2 = tau1 / r1, _late_time(tau2, g[1], r2, tau1, r1)
+        d1 = tau1 / r1
+        d2 = _late_time(tau2, g[1], g[1] - r2 if spare is None else spare, tau1, r1)
     else:
-        d1, d2 = _late_time(tau1, g[0], r1, tau2, r2), tau2 / r2
+        d1 = _late_time(tau1, g[0], g[0] - r1 if spare is None else spare, tau2, r2)
+        d2 = tau2 / r2
     if not (0.0 < d1 < _INF and 0.0 < d2 < _INF):
         CompletionTimePair(d1, d2)  # raises the value type's ValueError (a time <= 0 or inf)
     return d1, d2
 
 
-def _late_time(tau: float, g: float, r: float, tau_early: float, r_early: float) -> float:
-    """tau/g + ((g - r)/g)*(tau_early/r_early): the late finisher's bits left after the shared
-    phase of length tau_early/r_early, sent alone at its solo rate g.  No two loads or rates are
-    multiplied and the share (g - r)/g is at most 1, so it holds on the whole float range."""
-    share = (g - r) / g
+def _corner_image(g: tuple, load: TrafficLoad, branch: int, label: str) -> tuple[float, float]:
+    """`_map_rate_to_ct` of corner A = (s1, g2) or B = (g1, s2), given the `_corner_gammas`.
+    Where the late finisher runs at its corner rate s (B on branch 1, A on branch 2), its spare
+    rate g - s is their gap: the difference of the floats cancels, to 0 where s rounds to g."""
+    if label == "A":  # user 1 at s1, the late finisher on branch 2
+        return _map_rate_to_ct(g, load, branch, (g[3], g[1]), g[5] if branch == 2 else None)
+    return _map_rate_to_ct(g, load, branch, (g[0], g[4]), g[5] if branch == 1 else None)
+
+
+def _late_time(tau: float, g: float, spare: float, tau_early: float, r_early: float) -> float:
+    """tau/g + (spare/g)*(tau_early/r_early), spare = g - r: the late finisher's bits left after
+    the shared phase of length tau_early/r_early at rate r, sent alone at its solo rate g.  No two
+    loads or rates are multiplied and the share spare/g is at most 1, so it holds on the whole
+    float range."""
+    share = spare / g
     return tau / g + share * (tau_early / r_early) if share else tau / g  # not 0*inf = nan
 
 
@@ -228,16 +242,15 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     Each piece carries the two solo floors, its ordering constraint (a module
     constant), and its sum constraint exactly when it holds a pentagon corner
     (see `_PIECE_CORNERS`); otherwise that constraint is implied by the rest.
-    One `_gammas` derivation and `_equal_time` give the corners, Cbar (as
+    One `_corner_gammas` derivation and `_equal_time` give the corners, Cbar (as
     `equal_time_vertex`), the case and the floors (as `outer_bound`).  Union
     membership agrees with `ct_contains`.
     """
-    g = _gammas(cfg)
+    g = _corner_gammas(cfg)
     t, case, _, _ = _equal_time(g, load)
     if not 0.0 < t < _INF:
         CompletionTimePair(t, t)  # raises the value type's ValueError
     a, b = _corners(g)
-    corners = {"A": a, "B": b}
     cbar = ("Cbar", (t, t))
     floor1, floor2 = _floors(load, g[0], g[1])
     half = 1.0 if load.tau1 + load.tau2 < _INF else 0.5  # halved, a sum half-plane is the same set
@@ -250,7 +263,7 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
         (1, _PIECE_CORNERS[case][0], a, _ORDER[0], "bar'"),
         (2, _PIECE_CORNERS[case][1], b, _ORDER[1], "bar"),
     ):
-        images = [(x + suffix, _map_rate_to_ct(g, load, branch, corners[x])) for x in held]
+        images = [(x + suffix, _corner_image(g, load, branch, x)) for x in held]
         sum_rate = (HalfPlane(half * normal[0], half * normal[1], total),) if held else ()
         pieces.append(ConvexPiece(
             (floor1, floor2, *sum_rate, order),

@@ -25,9 +25,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .capacity import Gammas, _corners, _gammas, gamma  # noqa: F401 (bench/test_bench.py traces it)
+from .capacity import Gammas, _corner_gammas, _gammas
+from .capacity import gamma  # noqa: F401 (bench/test_bench.py traces it)
 from .constrained import _require_member
-from .ctregion import _PIECE_CORNERS, Case, _equal_time, _late_time, _map_rate_to_ct
+from .ctregion import _PIECE_CORNERS, Case, _corner_image, _equal_time, _late_time
 from .types import (
     EPS_MEM,
     _INF,
@@ -39,6 +40,7 @@ from .types import (
     _require_unit_interval,
     _slot_setters,
     _user_index,
+    _Value,
 )
 
 _TIE_TOL = 1e-12
@@ -70,15 +72,22 @@ _SUBREGION_ROWS: dict[tuple[int, Case], _Row] = {
 _FULL_ROWS: dict[Case, _Row] = {case: _full_row(p) for case, p in _PIECE_CORNERS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class Thresholds:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Thresholds(_Value):
+    """The weights at which a weighted-sum optimum switches table cells (module docstring).
+
+    w1 = gamma(P1/(1+P2))/gamma(P1+P2) serves the rows whose cells lie on branch 1, w2 =
+    gamma(P1)/gamma(P1+P2) those on branch 2, and w3 = tau1/(tau1 + tau2) the full-region row
+    whose corners lie on different branches (Case II).  w1 < w2 always.
+    """
+
     w1: float
     w2: float
     w3: float
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class WeightedSumSolution:
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class WeightedSumSolution(_Value):
     """The optimum at one weight, the table cell that gave it, and whether the other cell ties."""
 
     weight: float
@@ -141,7 +150,7 @@ def objective_d(
         raise ValueError(f"branch {branch} objective divides by r{branch}; need r{branch} > 0")
     w_late = (1.0 - w, w)[early]
     # w*d1 + (1-w)*d2 is the late time of the late finisher's weighted bits and rate
-    return _late_time(w_late * tau[late], gammas[late], w_late * rates[late],
+    return _late_time(w_late * tau[late], gammas[late], gammas[late] - w_late * rates[late],
                       tau[early], rates[early])
 
 
@@ -173,12 +182,12 @@ def minimax(cfg: ChannelConfig, load: TrafficLoad) -> tuple[float, CompletionTim
 def _cross_checked(
     what: str, cfg: ChannelConfig, load: TrafficLoad, w: float, row: Callable[[Case], _Row]
 ) -> WeightedSumSolution:
-    """The row(case) solution for the load's case, from one `_gammas` and one `_equal_time`.
+    """The row(case) solution for the load's case, from one `_corner_gammas` and one `_equal_time`.
 
     On a classification boundary the adjacent case's row holds as well, so
     its solution must have the same value.
     """
-    g = _gammas(cfg)
+    g = _corner_gammas(cfg)
     t, case, adjacent, _ = _equal_time(g, load)
     solution = _solve(g, load, w, t, row(case))
     if adjacent is not None:
@@ -191,8 +200,9 @@ def _cross_checked(
     return solution
 
 
-def _solve(g: Gammas, load: TrafficLoad, w: float, t: float, row: _Row) -> WeightedSumSolution:
-    """The row's low cell for w up to its threshold, else its high cell; C's image is (t, t)."""
+def _solve(g: tuple, load: TrafficLoad, w: float, t: float, row: _Row) -> WeightedSumSolution:
+    """The row's low cell for w up to its threshold, else its high cell; C's image is (t, t).
+    g is the `_corner_gammas`."""
     low, high, threshold = row
     cell, other = (low, high) if w <= _threshold(g, load, threshold) else (high, low)
     value, point = _evaluate_cell(g, load, w, t, *cell)
@@ -202,14 +212,13 @@ def _solve(g: Gammas, load: TrafficLoad, w: float, t: float, row: _Row) -> Weigh
 
 
 def _evaluate_cell(
-    g: Gammas, load: TrafficLoad, w: float, t: float, branch: int, label: str
+    g: tuple, load: TrafficLoad, w: float, t: float, branch: int, label: str
 ) -> tuple[float, tuple[float, float]]:
     """The cell's objective value and its point (d1, d2)."""
     if label == "C":
         d1, d2 = d = t, t
     else:
-        a, b = _corners(g)
-        d1, d2 = d = _map_rate_to_ct(g, load, branch, a if label == "A" else b)
+        d1, d2 = d = _corner_image(g, load, branch, label)
     return w * d1 + (1.0 - w) * d2, d
 
 

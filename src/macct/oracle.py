@@ -15,6 +15,9 @@ Upward closure also makes each d1 column's feasible points a suffix of the
 d2 axis, so the optimum oracles bisect every column for its first one (about
 log2 N passes) rather than test N^2 points.  `oracle_region_equivalence`
 compares two membership tests point by point and stays an N^2 sweep.
+
+The grid needs numpy, the `macct[oracle]` extra: without it `GridSpec.axes`
+and the three oracles raise an ImportError that names the extra.
 """
 
 from __future__ import annotations
@@ -40,27 +43,43 @@ from .types import (
     _require_tol,
     _require_unit_interval,
     _scaled,
+    _slot_setters,
     _user_index,
+    _Value,
 )
 
-@dataclass(frozen=True, slots=True)
-class GridSpec:
+
+def _numpy():
+    """numpy, which only the grid oracle needs; without it, an ImportError naming the extra."""
+    try:
+        import numpy
+    except ImportError as err:
+        raise ImportError(f"the grid oracle needs the macct[oracle] extra: {err}") from err
+    return numpy
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class GridSpec(_Value):
     """Uniform search grid: `resolution` points per axis over a positive box."""
 
     resolution: int
     d1_bounds: tuple[float, float]
     d2_bounds: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        _require_resolution(self.resolution)
-        for name in ("d1_bounds", "d2_bounds"):
-            lo, hi = (_require_finite(name, v) for v in getattr(self, name))
+    def __init__(
+        self, resolution: int, d1_bounds: tuple[float, float], d2_bounds: tuple[float, float]
+    ) -> None:
+        _require_resolution(resolution)
+        for name, bounds in (("d1_bounds", d1_bounds), ("d2_bounds", d2_bounds)):
+            lo, hi = (_require_finite(name, v) for v in bounds)
             if not 0.0 < lo < hi:
                 raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo}, {hi})")
+        _set_resolution(self, resolution)
+        _set_d1_bounds(self, d1_bounds)
+        _set_d2_bounds(self, d2_bounds)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
+        np = _numpy()
         return (
             np.linspace(self.d1_bounds[0], self.d1_bounds[1], self.resolution),
             np.linspace(self.d2_bounds[0], self.d2_bounds[1], self.resolution),
@@ -76,8 +95,14 @@ class GridSpec:
         return math.hypot(*self.steps())
 
 
-@dataclass(frozen=True, slots=True)
-class OracleReport:
+_set_resolution, _set_d1_bounds, _set_d2_bounds = _slot_setters(GridSpec)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class OracleReport(_Value):
+    """A grid optimum: its value, the grid point attaining it, the larger grid step, and the
+    certified gap bound, the most the true optimum can lie below the value."""
+
     optimum_value: float
     optimizer: CompletionTimePair
     grid_step: float
@@ -113,9 +138,7 @@ def oracle_weighted_min(
 
 def oracle_minimax(cfg: ChannelConfig, load: TrafficLoad, spec: GridSpec) -> OracleReport:
     """Minimum of max(d1, d2) over feasible grid points."""
-    import numpy as np
-
-    value, point = _grid_min(cfg, load, spec, np.maximum)
+    value, point = _grid_min(cfg, load, spec, _numpy().maximum)
     return OracleReport(
         optimum_value=value,
         optimizer=point,
@@ -133,8 +156,7 @@ def _grid_min(
     is nondecreasing in d2, so that point is the column's best, and the first
     column at the minimum holds the lexicographically smallest grid optimizer.
     """
-    import numpy as np
-
+    np = _numpy()
     x, y = spec.axes()
     k = np.zeros(x.size, dtype=np.intp)  # per column, how many d2 values lie below the region
     for bit in reversed(range(y.size.bit_length())):  # fix k's bits, highest first
@@ -164,8 +186,7 @@ def oracle_region_equivalence(
     The `region` override lets tests feed a deliberately wrong description.
     """
     _require_tol(tol)
-    import numpy as np
-
+    np = _numpy()
     if region is None:
         region = build_region(cfg, load)
     x, y = spec.axes()

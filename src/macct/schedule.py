@@ -31,6 +31,7 @@ from .types import (
     _require_unit_interval,
     _slot_setters,
     _user_index,
+    _Value,
 )
 
 # `validate`'s tolerance on each user's delivered bits and last end time, relative to its load and
@@ -40,8 +41,8 @@ _BOTH = frozenset((1, 2))  # the user sets of a shared phase and of each solo ph
 _SOLO = (frozenset((1,)), frozenset((2,)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Phase:
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class Phase(_Value):
     """One constant-rate interval; inactive users are silent (rate exactly 0)."""
 
     duration: float
@@ -87,8 +88,8 @@ def _user_set(users) -> frozenset[int]:
     return frozenset(_user_index("active user", user) for user in users)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Schedule:
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class Schedule(_Value):
     """Phases run in order from time zero; `achieved` is the pair of completion times they reach."""
 
     phases: tuple[Phase, ...]
@@ -114,8 +115,10 @@ class Schedule:
 _set_phases, _set_achieved = _slot_setters(Schedule)
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ValidationReport(_Value):
+    """The verdict of `validate`: ok, and the failed checks' messages (empty when ok)."""
+
     ok: bool
     violations: tuple[str, ...]
 

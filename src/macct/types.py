@@ -120,21 +120,53 @@ def _require_resolution(resolution: int) -> None:
         raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, got {resolution!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelConfig:
+class _Value:
+    """Equality, hash and repr over the fields, written once for every value type.
+
+    Each value type is a frozen, slotted dataclass declared with `eq=False, repr=False` on this
+    base, so `dataclass` builds none of the three per type.  They give what it would build: equal
+    only to an instance of the same class with equal fields, the hash of the field tuple, and
+    `Name(field=value!r, ...)`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)  # the fields, in order
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class ChannelConfig(_Value):
     """Two-user Gaussian multi-access channel, receive powers in linear SNR."""
 
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        p1, p2 = self.p1, self.p2
-        if not (type(p1) is type(p2) is float and 0.0 < p1 < _INF and 0.0 < p2 < _INF):
+    def __init__(self, p1: float, p2: float) -> None:
+        if type(p1) is type(p2) is float and 0.0 < p1 < _INF and 0.0 < p2 < _INF:
+            _set_p1(self, p1)
+            _set_p2(self, p2)
+        else:
             _require_fields(self, ("p1", "p2"), (p1, p2), 0.0, "> 0 (zero power never completes)")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RatePair:
+_set_p1, _set_p2 = _slot_setters(ChannelConfig)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class RatePair(_Value):
     """A point in rate space, bits per channel use.
 
     Used both for standard rates (codewords spanning a common block) and
@@ -160,21 +192,26 @@ class RatePair:
 _set_r1, _set_r2 = _slot_setters(RatePair)
 
 
-@dataclass(frozen=True, slots=True)
-class TrafficLoad:
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class TrafficLoad(_Value):
     """Per-user bit load, bits per source unit."""
 
     tau1: float
     tau2: float
 
-    def __post_init__(self) -> None:
-        tau1, tau2 = self.tau1, self.tau2
-        if not (type(tau1) is type(tau2) is float and 0.0 < tau1 < _INF and 0.0 < tau2 < _INF):
+    def __init__(self, tau1: float, tau2: float) -> None:
+        if type(tau1) is type(tau2) is float and 0.0 < tau1 < _INF and 0.0 < tau2 < _INF:
+            _set_tau1(self, tau1)
+            _set_tau2(self, tau2)
+        else:
             _require_fields(self, ("tau1", "tau2"), (tau1, tau2), 0.0, "> 0")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CompletionTimePair:
+_set_tau1, _set_tau2 = _slot_setters(TrafficLoad)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class CompletionTimePair(_Value):
     """A point in completion-time space, channel uses per source unit."""
 
     d1: float
@@ -194,8 +231,8 @@ class CompletionTimePair:
 _set_d1, _set_d2 = _slot_setters(CompletionTimePair)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class HalfPlane:
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+class HalfPlane(_Value):
     """Linear constraint a*x + b*y >= c."""
 
     a: float
@@ -221,8 +258,8 @@ class HalfPlane:
 _set_a, _set_b, _set_c = _slot_setters(HalfPlane)
 
 
-@dataclass(frozen=True, slots=True)
-class ConvexPiece:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ConvexPiece(_Value):
     """Intersection of half-planes with an annotated list of corner vertices.
 
     The half-planes are the authoritative description; vertices are labels

@@ -388,10 +388,10 @@ def test_case_ii_load_is_cross_checked_against_the_case_across_the_boundary(
     # A Case II load within 1e-12 of a boundary is checked against Case I or
     # Case III, not against Case II itself.
     import macct.optimize as optimize
-    from macct.capacity import _gammas
+    from macct.capacity import _corner_gammas
     from macct.ctregion import _equal_time
 
-    g = _gammas(CFG33)
+    g = _corner_gammas(CFG33)  # what `_solve` reads
     g1, g2, g12 = g[:3]
     if side == 1:  # just above the I/II boundary ratio (g12 - g1)/g1
         load = TrafficLoad(1.0, (g12 - g1) / g1 * (1.0 + 1e-13))

@@ -49,6 +49,32 @@ def test_grid_spec_validation():
     assert spec.steps() == (0.01, 0.02)
 
 
+def test_without_numpy_the_grid_oracle_names_its_extra(monkeypatch):
+    # numpy is the `macct[oracle]` extra: the grid and the three oracles need it, and nothing
+    # before them (a spec, a default grid) does.
+    import sys
+
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
+    spec = default_grid(CFG33, LOAD_II, 16)
+    for call in (spec.axes,
+                 lambda: oracle_weighted_min(CFG33, LOAD_II, 0.2, spec),
+                 lambda: oracle_minimax(CFG33, LOAD_II, spec),
+                 lambda: oracle_region_equivalence(CFG33, LOAD_II, spec)):
+        with pytest.raises(ImportError, match=r"^the grid oracle needs the macct\[oracle\] "):
+            call()
+
+
+def test_numpy_is_an_extra_in_the_project_metadata():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    from pathlib import Path
+
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = tomllib.loads(text)["project"]
+    assert project["dependencies"] == []
+    extras = project["optional-dependencies"]
+    assert extras["oracle"] == ["numpy>=1.23"] and "numpy>=1.23" in extras["test"]
+
+
 def test_default_grid_rejects_bad_resolution():
     with pytest.raises(ValueError, match=r"^grid resolution must be an int >= 16, got 8$"):
         default_grid(CFG33, LOAD_II, 8)

@@ -196,8 +196,8 @@ _VERTEX_KEYS = {"Cbar": "C", "Abar'": ("A", 1), "Bbar'": ("B", 1), "Abar": ("A",
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_region_vertices_and_optima_match_a_250_digit_evaluation(domain):
-    # The images of the corners a region holds keep their digits, although g_i - r_i cancels
-    # in the image of a corner that the region does not hold.
+    # The images of the corners a region holds keep their digits (every image does: see
+    # test_every_corner_image_matches_a_250_digit_evaluation).
     rng = np.random.default_rng(3)
     checked = 0
     for cfg, load in log_uniform_instances(rng, domain, 200):
@@ -215,3 +215,25 @@ def test_region_vertices_and_optima_match_a_250_digit_evaluation(domain):
                 assert abs(x - want) <= 4 * math.ulp(float(want)), (cfg, load, key, x)
                 checked += 1
     assert checked > 3000
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_every_corner_image_matches_a_250_digit_evaluation(domain):
+    # Both corners on both branches, held by the region or not.  Where the late finisher runs at
+    # its corner rate s (B on branch 1, A on branch 2), its spare rate g - s is the gap
+    # gamma(P1*P2/(1+P1+P2)); the difference of the float gammas cancels, up to the whole value.
+    from macct.capacity import _corner_gammas
+    from macct.ctregion import _corner_image
+
+    rng = np.random.default_rng(3)
+    checked = 0
+    for cfg, load in log_uniform_instances(rng, domain, 400):
+        exact = _exact_points(cfg, load)
+        g = _corner_gammas(cfg)
+        for label in "AB":
+            for branch in (1, 2):
+                got = _corner_image(g, load, branch, label)
+                for x, want in zip(got, exact[label, branch]):
+                    assert abs(x - want) <= 4 * math.ulp(float(want)), (cfg, load, label, branch)
+                    checked += 1
+    assert checked == 400 * 8

@@ -1,13 +1,16 @@
-"""The value types keep the dataclass contract, hand-written `__init__` or not.
+"""The value types keep the dataclass contract, hand-written methods or not.
 
-`CompletionTimePair`, `RatePair`, `HalfPlane`, `Phase`, `Schedule` and
-`WeightedSumSolution` are frozen, slotted dataclasses built with `init=False`
-and one `__init__` that checks and stores each field once; `ConvexPiece` and
-`RegionDescription`, which check nothing, keep the generated one.  Each type is
-compared here with a reference of the same name and fields whose `__init__` the
-dataclass machinery generates: equality, hash, repr, fields, `replace`,
-pickling, `deepcopy` and the frozen guard must agree, and numbers that are not
-exact floats are stored as floats.
+All 16 value types are frozen, slotted dataclasses declared with `eq=False,
+repr=False` on one base, `types._Value`, which writes equality, hash and repr
+once for all of them.  The nine that check their fields (`ChannelConfig`,
+`TrafficLoad`, `RatePair`, `CompletionTimePair`, `HalfPlane`,
+`ConstrainedRateQuery`, `GridSpec`, `Phase`, `Schedule`) and
+`WeightedSumSolution` are built with `init=False` and one `__init__` that checks
+and stores each field once; `ConvexPiece`, `RegionDescription` and the plain
+records keep the generated one.  Each type is compared here with a reference of
+the same name and fields that the dataclass machinery builds whole: equality,
+hash, repr, fields, `replace`, pickling, `deepcopy` and the frozen guard must
+agree, and numbers that are not exact floats are stored as floats.
 
 Run directly, this module needs neither pytest nor numpy:
     PYTHONPATH=src python tests/test_value_contract.py
@@ -19,15 +22,24 @@ import math
 import pickle
 from fractions import Fraction
 
+import macct
 from macct import (
     Case,
+    ChannelConfig,
     CompletionTimePair,
+    ConstrainedRateQuery,
     ConvexPiece,
+    GridSpec,
     HalfPlane,
+    OracleReport,
     Phase,
+    RateDecomposition,
     RatePair,
     RegionDescription,
     Schedule,
+    Thresholds,
+    TrafficLoad,
+    ValidationReport,
     WeightedSumSolution,
 )
 
@@ -51,6 +63,15 @@ SAMPLES = {
     Schedule: (((PHASE,), CompletionTimePair(1.5, 1.5)), ((), CompletionTimePair(1.0, 2.0))),
     WeightedSumSolution: ((0.25, 1.75, CompletionTimePair(1.0, 2.0), "A", 1, False),
                           (0.75, 1.25, CompletionTimePair(2.0, 1.0), "C", 2, True)),
+    ChannelConfig: ((3.0, 0.5), (0.5, 3.0)),
+    TrafficLoad: ((1.0, 2.5), (2.5, 1.0)),
+    ConstrainedRateQuery: ((RatePair(0.5, 0.25), 2.0), (RatePair(0.25, 0.5), 0.5)),
+    RateDecomposition: ((0.5, 0.25, 2), (0.25, 0.5, 1)),
+    Thresholds: ((0.25, 0.5, 0.75), (0.125, 0.25, 0.5)),
+    GridSpec: ((16, (0.5, 2.0), (0.5, 2.0)), (32, (1.0, 4.0), (0.25, 1.0))),
+    OracleReport: ((1.5, CompletionTimePair(1.0, 2.0), 0.125, 0.25),
+                   (2.5, CompletionTimePair(2.0, 1.0), 0.25, 0.5)),
+    ValidationReport: ((True, ()), (False, ("phase 0: no active users",))),
 }
 
 
@@ -63,7 +84,8 @@ def _reference(cls):
 REFERENCES = {cls: _reference(cls) for cls in SAMPLES}
 
 # The types whose `__init__` is written by hand; the other samples keep the generated one.
-HAND_WRITTEN = (CompletionTimePair, RatePair, HalfPlane, Phase, Schedule, WeightedSumSolution)
+HAND_WRITTEN = (CompletionTimePair, RatePair, HalfPlane, Phase, Schedule, WeightedSumSolution,
+                ChannelConfig, TrafficLoad, ConstrainedRateQuery, GridSpec)
 
 
 def _raises(exc_type, fn, *args, **kwargs):
@@ -75,12 +97,28 @@ def _raises(exc_type, fn, *args, **kwargs):
     raise AssertionError(f"{fn!r}{args!r}{kwargs!r} did not raise {exc_type.__name__}")
 
 
+def test_every_value_type_is_sampled():
+    value_types = {getattr(macct, name) for name in macct.__all__}
+    assert set(SAMPLES) == {cls for cls in value_types if dataclasses.is_dataclass(cls)}
+    assert len(SAMPLES) == 16
+
+
 def test_hand_written_init():
     for cls in SAMPLES:
         params = cls.__dataclass_params__
         assert params.frozen and params.init is (cls not in HAND_WRITTEN), cls
         assert "__init__" in vars(cls) and "__post_init__" not in vars(cls), cls
         assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls)), cls
+
+
+def test_one_shared_equality_hash_and_repr():
+    # No type carries its own copy: each reads the one the shared base defines.
+    shared = {name: getattr(ChannelConfig, name) for name in ("__eq__", "__hash__", "__repr__")}
+    for cls in SAMPLES:
+        params = cls.__dataclass_params__
+        assert not params.eq and not params.repr and not params.order, cls
+        for name, method in shared.items():
+            assert name not in vars(cls) and getattr(cls, name) is method, (cls, name)
 
 
 def test_fields_repr_hash_and_equality_match_the_reference():
@@ -137,13 +175,15 @@ OTHER_REALS = [3, Fraction(3, 2)] + ([] if np is None else [np.float64(2.5), np.
 
 def test_other_reals_are_stored_as_exact_floats():
     for value in OTHER_REALS:
-        for cls in (CompletionTimePair, RatePair, HalfPlane):
+        for cls in (CompletionTimePair, RatePair, HalfPlane, ChannelConfig, TrafficLoad):
             obj = cls(*[value] * len(cls.__slots__))
             for name in cls.__slots__:
                 stored = getattr(obj, name)
                 assert type(stored) is float and stored == float(value), (cls, value)
             floats = [float(value)] * len(cls.__slots__)
             assert repr(obj) == repr(REFERENCES[cls](*floats)), (cls, value)
+        query = ConstrainedRateQuery(RatePair(0.5, 0.5), value)
+        assert type(query.c) is float and query.c == float(value), value
         phase = Phase(value, RatePair(1.0, 0.0), [1])
         assert type(phase.duration) is float and phase.duration == float(value), value
         assert phase.active_users == frozenset((1,))
@@ -152,8 +192,9 @@ def test_other_reals_are_stored_as_exact_floats():
 
 def test_exact_floats_are_stored_as_given():
     for value in (5e-324, 1.5, 1.7976931348623157e308):
-        obj = CompletionTimePair(value, value)
-        assert obj.d1 is value and obj.d2 is value
+        for cls in (CompletionTimePair, ChannelConfig, TrafficLoad):
+            obj = cls(value, value)
+            assert all(getattr(obj, name) is value for name in cls.__slots__), cls
     zero = RatePair(-0.0, 0.0)
     assert math.copysign(1.0, zero.r1) == -1.0 and math.copysign(1.0, zero.r2) == 1.0
     rates = RatePair(0.5, 0.0)
@@ -180,6 +221,19 @@ def test_checks_run_in_order_with_their_messages():
         (Schedule, ((PHASE, 1.5), (1.5, 1.5)),
          f"phases must be a tuple of Phase, got {(PHASE, 1.5)!r}"),
         (Schedule, ((PHASE,), (1.5, 1.5)), "achieved must be a CompletionTimePair, got (1.5, 1.5)"),
+        (ChannelConfig, (0.0, math.nan), "p1 must be > 0 (zero power never completes), got 0.0"),
+        (ChannelConfig, (1.0, math.nan), "p2 must be finite, got nan"),
+        (TrafficLoad, (True, -1.0), "tau1 must be a number, not a boolean, got True"),
+        (TrafficLoad, (1.0, -1.0), "tau2 must be > 0, got -1.0"),
+        (ConstrainedRateQuery, ("x", True), "c must be a number, not a boolean, got True"),
+        (ConstrainedRateQuery, ("x", 0.0), "c must be a positive finite ratio, got 0.0"),
+        (ConstrainedRateQuery, ("x", 1e13),
+         "c=10000000000000.0 is outside the well-conditioned range [1e-12, 1000000000000.0]"),
+        (GridSpec, (8, (2.0, 1.0), ()), "grid resolution must be an int >= 16, got 8"),
+        (GridSpec, (16, (2.0, 1.0), ()),
+         "d1_bounds must be finite with 0 < lo < hi, got (2.0, 1.0)"),
+        (GridSpec, (16, (0.5, 2.0), (True, 2.0)),
+         "d2_bounds must be a number, not a boolean, got True"),
     ]
     for cls, args, message in cases:
         assert str(_raises(ValueError, cls, *args)) == message, (cls, args)
