@@ -26,11 +26,10 @@ reads it at c = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ldexp
 
 from .capacity import Gammas, _gammas, gamma
-from .types import (EPS_MEM, _INF, ChannelConfig, InfeasibleError, RatePair, _require_finite,
-                    _require_tol, _slot_setters, _Value)
+from .types import (EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite,
+                    _require_tol, _shifted, _slot_setters, _Value)
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -106,22 +105,18 @@ def _tests(g: Gammas, tau1: float, tau2: float, d1, d2, tol: float) -> tuple:
     return l1 >= r1, l2 >= r2, (d1 <= d2) & (l3 >= r3) | (d1 >= d2) & (l4 >= r4)
 
 
-def _in_range(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
-    """(tau1, tau2, d1, d2), over 2^12 where a side or a sides' difference may overflow.  Every
-    side is a rate times a time or a load, each level below g12 + 1 (tol < 1, s_i <= g_i <= g12),
-    so a difference of sides is below (g12 + 1)*(d1 + d2) + tau1 + tau2.  g12 <= 2^9 puts that
-    below 2^1036, so over 2^12 every product and difference is finite.  The verdicts and slacks
-    are the unscaled pair's while each value stays normal (above 2^-1010): a shift to the
-    larger time's power of two would drop a small time's bits."""
-    if (g[2] + 1.0) * (d1 + d2) + (tau1 + tau2) < _INF:
-        return tau1, tau2, d1, d2
-    return ldexp(tau1, -12), ldexp(tau2, -12), ldexp(d1, -12), ldexp(d2, -12)
+def _sides_shifted(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
+    """(tau1, tau2, d1, d2) `_shifted` for `_sides`: a side multiplies a time by a level of at
+    least min(s1, s2), and a side or a difference of two is below (g12 + 1) times the sum of the
+    four (tol < 1, s_i <= g_i <= g12).  Verdicts and slacks read shifted are the same."""
+    return _shifted((tau1, tau2, d1, d2), d1 if d1 < d2 else d2, g[3] if g[3] < g[4] else g[4],
+                    tau1 + tau2 + d1 + d2, g[2] + 1.0)[1]
 
 
 def _member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> bool:
-    """Membership of the float pair (d1, d2), read `_in_range`.  Arrays (`ct_contains_grid`)
-    read `_tests` unscaled."""
-    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
+    """Membership of the float pair (d1, d2), read shifted (`_sides_shifted`).  Arrays
+    (`ct_contains_grid`) read `_tests` unshifted."""
+    tau1, tau2, d1, d2 = _sides_shifted(g, tau1, tau2, d1, d2)
     solo_1, solo_2, sum_face = _tests(g, tau1, tau2, d1, d2, tol)
     return solo_1 & solo_2 & sum_face
 
@@ -129,9 +124,9 @@ def _member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: floa
 def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
     """The three tests at tol 0 as rates, left minus right over the rate's block length: d_i for
     user i's solo floor, min(d1, d2) for the first finisher's sum face (at d1 == d2, where either
-    face admits the pair, the larger).  Read `_in_range`, the divisors too.  A rate beyond the
-    float range gives -inf or inf."""
-    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
+    face admits the pair, the larger).  Read shifted (`_sides_shifted`), the divisors too.  A
+    rate beyond the float range gives -inf or inf."""
+    tau1, tau2, d1, d2 = _sides_shifted(g, tau1, tau2, d1, d2)
     l1, r1, l2, r2, l3, r3, l4, r4 = _sides(g, tau1, tau2, d1, d2, 0.0)
     sum_1, sum_2 = (l3 - r3) / d1, (l4 - r4) / d2
     return ((l1 - r1) / d1, (l2 - r2) / d2,
@@ -141,7 +136,7 @@ def _slacks(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple:
 def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> str:
     """`"<name> violated by <amount>"` for each failed test, comma-separated, with the rate it
     lacks (its `_slacks` slack) as the amount; "" when the pair is a member.  Its callers pass
-    times read `_in_range`: a phase's (1, 1), or the pair `_require_member` read."""
+    values that need no shift: a phase's rates over (1, 1), or the pair `_split` shifted."""
     tests = _tests(g, tau1, tau2, d1, d2, tol)
     if tests[0] and tests[1] and tests[2]:  # the common case: nothing to report
         return ""
@@ -150,9 +145,8 @@ def _violations(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: 
 
 
 def _require_member(g: Gammas, tau1: float, tau2: float, d1: float, d2: float, tol: float) -> None:
-    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region, read
-    `_in_range` as `_member` reads it (the rates and c in the message are the same)."""
-    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
+    """Raise InfeasibleError, with the `_violations`, when (d1, d2) is outside the region.  Its
+    callers pass values that need no shift (the rates and c in the message are the same)."""
     violated = _violations(g, tau1, tau2, d1, d2, tol)
     if violated:
         raise InfeasibleError(f"rate pair ({tau1 / d1:.6g}, {tau2 / d2:.6g}) at c={d1 / d2:.6g} "
@@ -194,19 +188,21 @@ def decompose_rate(
     is outside the c-constrained region.
     """
     _require_tol(tol)
-    g, c = _gammas(cfg), q.c
-    bits1, bits2 = c * q.rates.r1, q.rates.r2
-    _require_member(g, bits1, bits2, c, 1.0, tol)
-    return RateDecomposition(*_split(g, bits1, bits2, c, 1.0))
+    c = q.c
+    return RateDecomposition(*_split(_gammas(cfg), c * q.rates.r1, q.rates.r2, c, 1.0, tol))
 
 
-def _split(g: Gammas, tau1: float, tau2: float, d1: float, d2: float) -> tuple[float, float, int]:
+def _split(g: Gammas, tau1: float, tau2: float, d1: float, d2: float,
+           tol: float) -> tuple[float, float, int]:
     """(shared, solo, late user): the late finisher's rates over [0, early] and [early, late];
     user 2 at d1 == d2, with no solo phase (solo rate 0.0).  The solo phase runs as fast as it
     may, at most g_late: when it alone carries the bits the shared rate is 0.0.  Bits beyond
     g_late*late (admitted by tol) go at bits/late in both phases, not into the shared phase
-    (there they scale by late/early).  Read `_in_range`, the rates are the same."""
-    tau1, tau2, d1, d2 = _in_range(g, tau1, tau2, d1, d2)
+    (there they scale by late/early).  A pair outside the region raises `_require_member`'s
+    InfeasibleError.  Read shifted once (`_sides_shifted`), for the refusal and the split: the
+    rates are the same."""
+    tau1, tau2, d1, d2 = _sides_shifted(g, tau1, tau2, d1, d2)
+    _require_member(g, tau1, tau2, d1, d2, tol)
     if d1 > d2:
         user, bits, early, late, g_late = 1, tau1, d2, d1, g[0]
     else:

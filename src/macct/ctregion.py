@@ -60,14 +60,13 @@ from .types import (
     RatePair,
     TrafficLoad,
     _require_tol,
-    _scaled,
+    _shifted,
     _user_index,
     _Value,
 )
 
 
 _BOUNDARY_REL_TOL = 1e-12
-_TINY = 2.2250738585072014e-308  # the smallest normal float
 
 
 class Case(enum.Enum):
@@ -114,13 +113,14 @@ def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None,
     sum of quotients, exact under a user swap): Cbar = (t, t) with t the largest (inf beyond the
     float range), the case whose floor attains it, the runner-up's case when its floor ties t
     within `_BOUNDARY_REL_TOL` (else None), and point C, the load over the winning floor with a
-    solo face's level exact.  Where t is not a normal float, case and C read the scaled load."""
-    tau1, tau2 = load.tau1, load.tau2
+    solo face's level exact.  The floors read the load `_shifted`: a summand is at least
+    min(tau)/g12, and fs at most twice the larger of tau_i/g_i = tau_i*(gm/g_i)/gm, gm the smaller
+    solo level.  So t is exact while normal, and the case and C are the same."""
+    tau1, tau2, g1, g2 = load.tau1, load.tau2, g[0], g[1]
+    gm, a, b = (g1, tau1, tau2 * (g1 / g2)) if g1 <= g2 else (g2, tau2, tau1 * (g2 / g1))
+    back, (tau1, tau2) = _shifted((tau1, tau2), tau1 if tau1 < tau2 else tau2, 1.0 / g[2],
+                                  a if a > b else b, 4.0 / gm)
     f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
-    t = max(f1, f2, fs)
-    if not _TINY <= t < _INF:
-        tau1, tau2 = _scaled(max(tau1, tau2), tau1, tau2)
-        f1, f2, fs = tau1 / g[0], tau2 / g[1], tau1 / g[2] + tau2 / g[2]
     # Exactly, a solo floor >= fs is the max; where g12 rounds to g1, f1 >= fs holds even when f2
     # is far larger, so each solo floor is tested against both others.
     if f1 >= fs and f1 >= f2:
@@ -132,7 +132,7 @@ def _equal_time(g: Gammas, load: TrafficLoad) -> tuple[float, Case, Case | None,
     else:
         case, top, c = Case.II, fs, (tau1 / fs, tau2 / fs)
         second, runner_up = (f1, Case.I) if f1 >= f2 else (f2, Case.III)
-    return t, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None, c
+    return top * back, case, runner_up if top - second <= _BOUNDARY_REL_TOL * top else None, c
 
 
 def point_c(cfg: ChannelConfig, load: TrafficLoad) -> RatePair:
@@ -253,8 +253,9 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     a, b = _corners(g)
     cbar = ("Cbar", (t, t))
     floor1, floor2 = _floors(load, g[0], g[1])
-    half = 1.0 if load.tau1 + load.tau2 < _INF else 0.5  # halved, a sum half-plane is the same set
-    total = half * load.tau1 + half * load.tau2
+    tau1, tau2 = load.tau1, load.tau2  # where their sum overflows, each sum half-plane is shifted
+    back, (tau1, tau2) = _shifted((tau1, tau2), tau1, _INF, tau1 + tau2, 1.0)
+    scale = 1.0 / back
     pieces = []
     # D1 (d1 <= d2) maps its corners on branch 1 and its sum normal is A; D2
     # (d1 >= d2) maps on branch 2 and its normal is B.  In boundary order Cbar
@@ -264,7 +265,7 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
         (2, _PIECE_CORNERS[case][1], b, _ORDER[1], "bar"),
     ):
         images = [(x + suffix, _corner_image(g, load, branch, x)) for x in held]
-        sum_rate = (HalfPlane(half * normal[0], half * normal[1], total),) if held else ()
+        sum_rate = (HalfPlane(scale * normal[0], scale * normal[1], tau1 + tau2),) if held else ()
         pieces.append(ConvexPiece(
             (floor1, floor2, *sum_rate, order),
             (*images, cbar) if branch == 1 else (cbar, *images),

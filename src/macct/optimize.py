@@ -38,6 +38,7 @@ from .types import (
     RatePair,
     TrafficLoad,
     _require_unit_interval,
+    _shifted,
     _slot_setters,
     _user_index,
     _Value,
@@ -128,9 +129,8 @@ def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
 def _threshold(g: Gammas, load: TrafficLoad, name: str) -> float:
     """The switching weight called name: "w1", "w2" or "w3"."""
     if name == "w3":
-        tau1, tau2 = load.tau1, load.tau2
-        if not tau1 + tau2 < _INF:  # halve both: exact, but for a subnormal load whose share is 0
-            tau1, tau2 = 0.5 * tau1, 0.5 * tau2
+        tau1, tau2 = load.tau1, load.tau2  # their sum, read shifted, is finite
+        _, (tau1, tau2) = _shifted((tau1, tau2), tau1, _INF, tau1 + tau2, 1.0)
         return tau1 / (tau1 + tau2)
     return (g[3] if name == "w1" else g[0]) / g[2]
 
@@ -185,14 +185,25 @@ def _cross_checked(
     """The row(case) solution for the load's case, from one `_corner_gammas` and one `_equal_time`.
 
     On a classification boundary the adjacent case's row holds as well, so
-    its solution must have the same value.
+    its solution must have the same value.  A cell's times add quotients of
+    the load by rates from s_i to g12, each at most (tau1 + tau2)/s_i: where
+    one would fall below the normal range the cells read the load `_shifted`
+    up, and the optimum is shifted back.  They never shift down: a time
+    beyond the float range is refused.
     """
     g = _corner_gammas(cfg)
+    tau1, tau2, s = load.tau1, load.tau2, g[3] if g[3] < g[4] else g[4]
+    back, shifted = _shifted((tau1, tau2), tau1 if tau1 < tau2 else tau2, 1.0 / g[2],
+                             tau1 + tau2, 1.0 / s if s else _INF)
+    if back < 1.0:
+        load = TrafficLoad(*shifted)
+    else:
+        back = 1.0
     t, case, adjacent, _ = _equal_time(g, load)
-    solution = _solve(g, load, w, t, row(case))
+    solution = _solve(g, load, w, t, row(case), back)
     if adjacent is not None:
         primary = solution.optimal_value
-        alternate = _solve(g, load, w, t, row(adjacent)).optimal_value
+        alternate = _solve(g, load, w, t, row(adjacent), back).optimal_value
         if abs(primary - alternate) > _BOUNDARY_VALUE_TOL * primary:  # optima are positive
             raise ConsistencyError(
                 f"{what} disagrees across the case boundary: {primary!r} vs {alternate!r}"
@@ -200,15 +211,18 @@ def _cross_checked(
     return solution
 
 
-def _solve(g: tuple, load: TrafficLoad, w: float, t: float, row: _Row) -> WeightedSumSolution:
+def _solve(
+    g: tuple, load: TrafficLoad, w: float, t: float, row: _Row, back: float = 1.0
+) -> WeightedSumSolution:
     """The row's low cell for w up to its threshold, else its high cell; C's image is (t, t).
-    g is the `_corner_gammas`."""
+    g is the `_corner_gammas`; the load and t are shifted, and the optimum is read times back."""
     low, high, threshold = row
     cell, other = (low, high) if w <= _threshold(g, load, threshold) else (high, low)
-    value, point = _evaluate_cell(g, load, w, t, *cell)
+    value, (d1, d2) = _evaluate_cell(g, load, w, t, *cell)
     other_value, other_point = _evaluate_cell(g, load, w, t, *other)
-    tie = _is_tie(value, point, other_value, other_point)
-    return WeightedSumSolution(w, value, CompletionTimePair(*point), cell[1], cell[0], tie)
+    tie = _is_tie(value, (d1, d2), other_value, other_point)
+    return WeightedSumSolution(w, value * back, CompletionTimePair(d1 * back, d2 * back), cell[1],
+                               cell[0], tie)
 
 
 def _evaluate_cell(

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .capacity import _gammas, standard_capacity_region
-from .ctregion import RegionDescription, _equal_time, build_region, ct_contains_grid, point_c
+from .ctregion import RegionDescription, _equal_time, build_region, ct_contains_grid
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -42,7 +42,7 @@ from .types import (
     _require_resolution,
     _require_tol,
     _require_unit_interval,
-    _scaled,
+    _shifted,
     _slot_setters,
     _user_index,
     _Value,
@@ -70,13 +70,17 @@ class GridSpec(_Value):
         self, resolution: int, d1_bounds: tuple[float, float], d2_bounds: tuple[float, float]
     ) -> None:
         _require_resolution(resolution)
-        for name, bounds in (("d1_bounds", d1_bounds), ("d2_bounds", d2_bounds)):
-            lo, hi = (_require_finite(name, v) for v in bounds)
+        _set_resolution(self, resolution)
+        for name, bounds, store in (("d1_bounds", d1_bounds, _set_d1_bounds),
+                                    ("d2_bounds", d2_bounds, _set_d2_bounds)):
+            try:
+                lo, hi = bounds
+            except (TypeError, ValueError):  # not iterable, or not two values
+                raise ValueError(f"{name} must be a pair (lo, hi), got {bounds!r}") from None
+            lo, hi = _require_finite(name, lo), _require_finite(name, hi)
             if not 0.0 < lo < hi:
                 raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo}, {hi})")
-        _set_resolution(self, resolution)
-        _set_d1_bounds(self, d1_bounds)
-        _set_d2_bounds(self, d2_bounds)
+            store(self, (lo, hi))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         np = _numpy()
@@ -222,10 +226,10 @@ def dominant_extreme_points(
     every point another candidate dominates.
     """
     side = (1.0, -1.0)[_user_index("branch", branch) - 1]
-    tau1, tau2 = load.tau1, load.tau2
-    if not max(tau1, tau2) * _gammas(cfg)[2] < math.inf:  # r_i*tau_j may overflow (r_i <= g12)
-        tau1, tau2 = _scaled(max(tau1, tau2), tau1, tau2)
-    candidates = [("C", point_c(cfg, load))] + [
+    g = _gammas(cfg)
+    tau1, tau2 = load.tau1, load.tau2  # the ray-side test multiplies them by rates s_i to g12
+    _, (tau1, tau2) = _shifted((tau1, tau2), min(tau1, tau2), min(g[3], g[4]), tau1 + tau2, g[2])
+    candidates = [("C", RatePair(*_equal_time(g, load)[3]))] + [
         (label, RatePair(r1, r2))
         for label, (r1, r2) in standard_capacity_region(cfg).vertices
         if side * (r1 * tau2 - r2 * tau1) >= 0.0

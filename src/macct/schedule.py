@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import _gammas
-from .constrained import _member, _require_member, _split, _violations
+from .constrained import _member, _split, _violations
 from .types import (
     EPS_MEM,
     ChannelConfig,
@@ -140,9 +140,8 @@ def synthesize(
     naming each violated constraint, for d outside the region.
     """
     _require_tol(tol)
-    g, (tau1, tau2), (d1, d2) = _gammas(cfg), (load.tau1, load.tau2), (d.d1, d.d2)
-    _require_member(g, tau1, tau2, d1, d2, tol)
-    shared_rate, solo_rate, late_user = _split(g, tau1, tau2, d1, d2)
+    tau1, tau2, d1, d2 = load.tau1, load.tau2, d.d1, d.d2
+    shared_rate, solo_rate, late_user = _split(_gammas(cfg), tau1, tau2, d1, d2, tol)
     if late_user == 1:  # user 1 finishes last
         early, late, shared, solo = d2, d1, (shared_rate, tau2 / d2), (solo_rate, 0.0)
     else:  # user 2 finishes last, or both at d1 == d2 with an empty solo phase

@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass, fields
 
 _INF = math.inf  # a global name, read faster than math.inf in every field check
+_NORMAL = 2.2250738585072014e-308  # 2^-1022, the smallest normal float
 
 # Absolute tolerance on constraint slack used by every membership test.  It
 # is sound on the domain the tests and the gated benchmark cover, powers in
@@ -52,10 +53,23 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _scaled(top: float, *values: float) -> tuple[float, ...]:
-    """values over the power of two that puts top in [0.5, 1), exact while each stays normal."""
-    e = math.frexp(top)[1]
-    return tuple(math.ldexp(v, -e) for v in values)
+def _shifted(values: tuple, small: float, low: float, large: float, high: float) -> tuple:
+    """(2^-k, values times 2^k), k nearest 0 with small*low normal and large*high finite.  The
+    region is homogeneous in (tau, d), so a site reads its loads and times shifted and a time it
+    reads off them, times 2^-k, is exact while normal.  small*low and large*high bound what it
+    forms: its least value times the least rate (or reciprocal) that value meets, and its largest
+    value, or a sum of up to four, times the largest factor.  Where no k keeps both, the top wins.
+    A shift to the largest value's power of two would flush a small partner."""
+    if small * low >= _NORMAL and large * high < _INF:  # the moderate domain: no shift
+        return 1.0, values
+    e = math.frexp
+    up = -1020 - e(small)[1] - e(low)[1]  # small*low*2^up >= 2^-1022
+    # large*high*2^room < 2^1024 and each value below 2^1023; where large or high is inf it is a
+    # sum of at most four floats (below 2^1026) or a factor below 4/5e-324 (below 2^1077)
+    top = (e(large)[1] if large < _INF else 1026) + (e(high)[1] if high < _INF else 1077)
+    room = min(1024 - top, 1023 - e(max(values))[1])
+    k = max(-1022, min(max(up, 0), room, 1022))  # 2^-k and 2^k are normal floats
+    return math.ldexp(1.0, -k), tuple(math.ldexp(v, k) for v in values)
 
 
 def _require_fields(

@@ -96,6 +96,16 @@ def test_grid_bounds_reject_bool():
         GridSpec(16, (0.5, 2.0), (0.5, True))
 
 
+@pytest.mark.parametrize("bad", [5.0, (1.0, 2.0, 3.0), (1.0,), None])
+def test_grid_bounds_that_are_not_a_pair_are_refused(bad):
+    with pytest.raises(ValueError) as err:
+        GridSpec(16, bad, (0.5, 2.0))
+    assert str(err.value) == f"d1_bounds must be a pair (lo, hi), got {bad!r}"
+    with pytest.raises(ValueError) as err:
+        GridSpec(16, (0.5, 2.0), bad)
+    assert str(err.value) == f"d2_bounds must be a pair (lo, hi), got {bad!r}"
+
+
 @pytest.mark.parametrize("bad", [True, 8, 32.0, "32"])
 def test_grid_resolution_rejected(bad):
     with pytest.raises(ValueError, match=f"resolution.*got {bad!r}"):

@@ -94,7 +94,8 @@ def test_overflowing_load_sum_gives_w3_its_share():
 
 
 def test_overflowing_load_sum_keeps_the_region():
-    # tau1 + tau2 overflows; each piece's sum half-plane is stored halved, which is the same set.
+    # tau1 + tau2 overflows; each piece's sum half-plane is stored times the power of two that
+    # keeps it finite, which is the same set.
     cfg, load = ChannelConfig(100.0, 100.0), TrafficLoad(1e308, 1e308)
     desc = build_region(cfg, load)
     t = minimax(cfg, load)[0]
@@ -133,28 +134,44 @@ def test_underflowing_branch_product_maps_point_c_to_cbar():
 
 
 
-def _top_of_range(load):
-    return TrafficLoad(math.ldexp(load.tau1, 1020), math.ldexp(load.tau2, 1020))
+def _top_of_range(load, k=1020):
+    return TrafficLoad(math.ldexp(load.tau1, k), math.ldexp(load.tau2, k))
 
 
-def test_loads_at_the_top_of_the_float_range_scale_exactly():
+def _normal_after(k):
+    """The unit times x whose x*2^k is a normal float: [lo, hi)."""
+    return (math.ldexp(1.0, -1022 - k) if k < 0 else 0.0,
+            math.ldexp(1.0, 1024 - k) if k > 0 else math.inf)
+
+
+# Both ends of the float range: loads times 2^1020 and times 2^-1020 are normal floats.
+ENDS = pytest.mark.parametrize("k", [1020, -1020])
+
+
+@ENDS
+def test_loads_at_the_top_of_the_float_range_scale_exactly(k):
     # Times scale with the loads, so the case, point C, the side of the demand ray each vertex
-    # lies on, the thresholds and a schedule's rates are those of the load over 2^1020.  Products
-    # such as r1*tau2 and g*d overflow there; each reader scales by an exact power of two.  Pinned:
-    # at tau = (1e308, 1e308) both of B's ray-side products overflow, so branch 2 gave [A, C] for
-    # [A, B]; the second channel's w = 0 schedule delivered 1.0635e308 of user 1's 1.0934e308 bits.
+    # lies on, the thresholds and a schedule's rates are those of the load times 2^k.  At the
+    # top, products such as r1*tau2 and g*d overflow; at the bottom, a floor's summand tau/g12,
+    # a solo floor or a product s*d underflows while the time does not.  Each reader shifts by
+    # an exact power of two.  An optimal time beyond the float range is refused; one below the
+    # normal range is skipped.  Pinned, at the top only: at tau = (1e308, 1e308) both of B's
+    # ray-side products overflow, so branch 2 gave [A, C] for [A, B]; the second channel's w = 0
+    # schedule delivered 1.0635e308 of user 1's 1.0934e308 bits.
     rng = np.random.default_rng(5)
     powers = np.exp(rng.uniform(math.log(1e-2), math.log(1e8), (300, 2)))
     loads = rng.uniform(1.0, 15.0, (300, 2))
     top = math.ldexp(1e308, -1020)
-    instances = [(ChannelConfig(100.0, 1e10), TrafficLoad(top, top)),
-                 (ChannelConfig(94746244.49510172, 90555830.22060043),
-                  TrafficLoad(9.731284362789648, 6.799057419805062)),
+    pinned = [(ChannelConfig(100.0, 1e10), TrafficLoad(top, top)),
+              (ChannelConfig(94746244.49510172, 90555830.22060043),
+               TrafficLoad(9.731284362789648, 6.799057419805062))]
+    instances = [*(pinned if k == 1020 else ()),
                  *((ChannelConfig(*map(float, p)), TrafficLoad(*map(float, t)))
                    for p, t in zip(powers, loads))]
+    lowest = _normal_after(k)[0]
     answered = 0
     for cfg, unit in instances:
-        load = _top_of_range(unit)
+        load = _top_of_range(unit, k)
         assert classify_case(cfg, load) is classify_case(cfg, unit), (cfg, unit)
         assert point_c(cfg, load) == point_c(cfg, unit), (cfg, unit)
         assert thresholds(cfg, load) == thresholds(cfg, unit), (cfg, unit)
@@ -163,19 +180,22 @@ def test_loads_at_the_top_of_the_float_range_scale_exactly():
                     == dominant_extreme_points(cfg, unit, branch)), (cfg, unit, branch)
         for w in (0.0, 0.3, 1.0):
             want = minimize_weighted_sum(cfg, unit, w)
+            if min(want.optimizer_point.as_tuple()) < lowest:  # an optimal time below the normals
+                continue
             try:
                 got = minimize_weighted_sum(cfg, load, w)
             except ValueError:  # an optimal time beyond the float range
                 continue
             answered += 1
             assert got.optimizer_point == CompletionTimePair(
-                *(math.ldexp(x, 1020) for x in want.optimizer_point.as_tuple()))
+                *(math.ldexp(x, k) for x in want.optimizer_point.as_tuple())), (cfg, unit, w)
             plan = synthesize(cfg, load, got.optimizer_point)
             assert validate(cfg, load, plan).ok, (cfg, unit, w, validate(cfg, load, plan))
             unit_plan = synthesize(cfg, unit, want.optimizer_point)
             assert [p.rates for p in plan.phases] == [p.rates for p in unit_plan.phases]
     assert answered > 400
-    assert [x for x, _ in dominant_extreme_points(*instances[0], 2)] == ["A", "B"]
+    if k == 1020:
+        assert [x for x, _ in dominant_extreme_points(*pinned[0], 2)] == ["A", "B"]
 
 
 def test_membership_at_the_top_of_the_float_range_reads_the_unscaled_pair():
@@ -211,33 +231,38 @@ def test_membership_at_the_top_of_the_float_range_reads_the_unscaled_pair():
         assert ct_contains(cfg, load, d, tol) is ct_contains(cfg, low_load, low, tol) is False
 
 
-def test_membership_at_the_top_of_the_float_range_agrees_with_the_unscaled_load():
-    # Pairs t*U(0.3, 3) per axis around the minimax time t, at 2^1020 and unscaled: every
-    # verdict and slack is the same (26 of 8,400 verdicts at tol 0 differed before the scaling).
+@ENDS
+def test_membership_at_the_top_of_the_float_range_agrees_with_the_unscaled_load(k):
+    # Pairs t*U(0.3, 3) per axis around the minimax time t, times 2^k and unscaled: every
+    # verdict and slack is the same.  Before the shift, 26 of 8,400 verdicts at tol 0 differed
+    # at the top, and 49 of 14,914 slacks at the bottom.  A pair with a time outside the normal
+    # range at 2^k is skipped.
     rng = np.random.default_rng(3)
     powers = np.exp(rng.uniform(math.log(1e-2), math.log(1e8), (500, 2)))
     loads = rng.uniform(1.0, 15.0, (500, 2))
+    lo, hi = _normal_after(k)
     compared = 0
     for p, t in zip(powers, loads):
         cfg, unit = ChannelConfig(*map(float, p)), TrafficLoad(*map(float, t))
-        load, value = _top_of_range(unit), minimax(cfg, unit)[0]
+        load, value = _top_of_range(unit, k), minimax(cfg, unit)[0]
         for a, b in rng.uniform(0.3, 3.0, (30, 2)).tolist():
             d = CompletionTimePair(value * a, value * b)
-            if max(d.d1, d.d2) >= 16.0:  # beyond the float range at 2^1020
+            if not lo <= min(d.d1, d.d2) <= max(d.d1, d.d2) < hi:
                 continue
-            top = CompletionTimePair(math.ldexp(d.d1, 1020), math.ldexp(d.d2, 1020))
+            top = CompletionTimePair(math.ldexp(d.d1, k), math.ldexp(d.d2, k))
             for tol in (0.0, EPS_MEM):
                 assert ct_contains(cfg, load, top, tol) is ct_contains(cfg, unit, d, tol)
             assert ct_slacks(cfg, load, top) == ct_slacks(cfg, unit, d), (cfg, unit, d)
             compared += 1
-    assert compared == 8400
+    assert compared == {1020: 8400, -1020: 14914}[k]
 
 
 def test_membership_beside_the_top_of_the_float_range_keeps_a_small_time():
     # g12*(d1 + d2) overflows, so the sides are read over a power of two.  Over the larger
     # time's (2^-1024) the time 1e-16 and its load would be 0.0: user 2's solo floor would read
-    # 0 >= 0 and admit a rate of 2 above g2 = 1, and the slacks would divide by 0.0.  Over 2^12
-    # every time above 2^-1010 stays normal, and each answer is the one read without scaling.
+    # 0 >= 0 and admit a rate of 2 above g2 = 1, and the slacks would divide by 0.0.  Over the
+    # least power of two that keeps the sides finite (here 4) every time above 2^-1020 stays
+    # normal, and each answer is the one read without scaling.
     cfg = ChannelConfig(3.0, 3.0)  # g1 = g2 = 1
     d = CompletionTimePair(1e308, 1e-16)
     for tau2, lack in ((2e-16, "1"), (1.0, "1e+16")):
@@ -251,7 +276,7 @@ def test_membership_beside_the_top_of_the_float_range_keeps_a_small_time():
         assert str(err.value) == (f"rate pair (0.1, {1.0 + float(lack):.6g}) at c=inf is "
                                   f"infeasible: single_user_2 violated by {lack}")
     # Mirrored and feasible: unscaled, g2*d2 overflows to an inf slack for user 2; the
-    # schedule's late phase is read over 2^12 with the early time kept.
+    # schedule's late phase is read over a power of two with the early time kept.
     cfg, load = ChannelConfig(3.0, 15.0), TrafficLoad(1e-17, 1e307)  # g2 = 2
     d = CompletionTimePair(1e-16, 1e308)
     assert ct_contains(cfg, load, d, 0.0) is True

@@ -190,6 +190,18 @@ def test_other_reals_are_stored_as_exact_floats():
         assert all(type(user) is int for user in phase.active_users)
 
 
+def test_grid_bounds_are_stored_as_pairs_of_floats():
+    # A list and a Fraction/int pair are stored as the tuples of floats they equal, so the spec
+    # hashes, compares and prints as one built from those tuples.
+    spec = GridSpec(16, [0.5, 2.0], (Fraction(1, 2), 2))
+    floats = GridSpec(16, (0.5, 2.0), (0.5, 2.0))
+    for bounds in (spec.d1_bounds, spec.d2_bounds):
+        assert type(bounds) is tuple and [type(v) for v in bounds] == [float, float], bounds
+    assert spec == floats and hash(spec) == hash(floats)
+    assert repr(spec) == repr(floats) == repr(REFERENCES[GridSpec](16, (0.5, 2.0), (0.5, 2.0)))
+    assert repr(spec) == "GridSpec(resolution=16, d1_bounds=(0.5, 2.0), d2_bounds=(0.5, 2.0))"
+
+
 def test_exact_floats_are_stored_as_given():
     for value in (5e-324, 1.5, 1.7976931348623157e308):
         for cls in (CompletionTimePair, ChannelConfig, TrafficLoad):
