@@ -25,11 +25,9 @@ reads it at c = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .capacity import Gammas, _gammas, gamma
 from .types import (EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite,
-                    _require_tol, _shifted, _slot_setters, _Value)
+                    _record, _require_tol, _shifted, _slot_setters, _Value)
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -41,7 +39,7 @@ _C_MIN = 1e-12
 _C_MAX = 1e12
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class ConstrainedRateQuery(_Value):
     """A constrained rate pair together with the block-length ratio c = n1/n2."""
 
@@ -61,7 +59,7 @@ class ConstrainedRateQuery(_Value):
 _set_rates, _set_c = _slot_setters(ConstrainedRateQuery)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_record
 class RateDecomposition(_Value):
     """Split of the late finisher's rate into a shared-phase and a solo-phase part.
 

@@ -42,7 +42,6 @@ equal-time vertex Cbar.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -59,6 +58,7 @@ from .types import (
     HalfPlane,
     RatePair,
     TrafficLoad,
+    _record,
     _require_tol,
     _shifted,
     _user_index,
@@ -86,7 +86,7 @@ _PIECE_CORNERS: dict[Case, tuple[str, str]] = {
 _ORDER = (HalfPlane(-1.0, 1.0, 0.0), HalfPlane(1.0, -1.0, 0.0))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_record
 class RegionDescription(_Value):
     """The region as two convex pieces plus the case label.
 

@@ -23,7 +23,6 @@ threshold the left cell's optimizer is returned and the tie is flagged.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .capacity import Gammas, _corner_gammas, _gammas
 from .capacity import gamma  # noqa: F401 (bench/test_bench.py traces it)
@@ -37,6 +36,7 @@ from .types import (
     ConsistencyError,
     RatePair,
     TrafficLoad,
+    _record,
     _require_unit_interval,
     _shifted,
     _slot_setters,
@@ -73,7 +73,7 @@ _SUBREGION_ROWS: dict[tuple[int, Case], _Row] = {
 _FULL_ROWS: dict[Case, _Row] = {case: _full_row(p) for case, p in _PIECE_CORNERS.items()}
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_record
 class Thresholds(_Value):
     """The weights at which a weighted-sum optimum switches table cells (module docstring).
 
@@ -87,7 +87,7 @@ class Thresholds(_Value):
     w3: float
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class WeightedSumSolution(_Value):
     """The optimum at one weight, the table cell that gave it, and whether the other cell ties."""
 
@@ -98,15 +98,8 @@ class WeightedSumSolution(_Value):
     branch: int
     tie: bool
 
-    def __init__(
-        self,
-        weight: float,
-        optimal_value: float,
-        optimizer_point: CompletionTimePair,
-        rate_point_label: str,
-        branch: int,
-        tie: bool,
-    ) -> None:
+    def __init__(self, weight: float, optimal_value: float, optimizer_point: CompletionTimePair,
+                 rate_point_label: str, branch: int, tie: bool) -> None:
         _set_weight(self, weight)
         _set_value(self, optimal_value)
         _set_point(self, optimizer_point)
@@ -219,7 +212,10 @@ def _solve(
     low, high, threshold = row
     cell, other = (low, high) if w <= _threshold(g, load, threshold) else (high, low)
     value, (d1, d2) = _evaluate_cell(g, load, w, t, *cell)
-    other_value, other_point = _evaluate_cell(g, load, w, t, *other)
+    try:
+        other_value, other_point = _evaluate_cell(g, load, w, t, *other)
+    except ValueError:  # the other cell's image is beyond the float range: it ties no optimum
+        other_value, other_point = _INF, (d1, d2)
     tie = _is_tie(value, (d1, d2), other_value, other_point)
     return WeightedSumSolution(w, value * back, CompletionTimePair(d1 * back, d2 * back), cell[1],
                                cell[0], tie)

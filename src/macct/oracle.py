@@ -23,7 +23,6 @@ and the three oracles raise an ImportError that names the extra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -38,6 +37,7 @@ from .types import (
     InfeasibleError,
     RatePair,
     TrafficLoad,
+    _record,
     _require_finite,
     _require_resolution,
     _require_tol,
@@ -58,7 +58,7 @@ def _numpy():
     return numpy
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class GridSpec(_Value):
     """Uniform search grid: `resolution` points per axis over a positive box."""
 
@@ -102,7 +102,7 @@ class GridSpec(_Value):
 _set_resolution, _set_d1_bounds, _set_d2_bounds = _slot_setters(GridSpec)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_record
 class OracleReport(_Value):
     """A grid optimum: its value, the grid point attaining it, the larger grid step, and the
     certified gap bound, the most the true optimum can lie below the value."""
@@ -229,10 +229,11 @@ def dominant_extreme_points(
     g = _gammas(cfg)
     tau1, tau2 = load.tau1, load.tau2  # the ray-side test multiplies them by rates s_i to g12
     _, (tau1, tau2) = _shifted((tau1, tau2), min(tau1, tau2), min(g[3], g[4]), tau1 + tau2, g[2])
-    candidates = [("C", RatePair(*_equal_time(g, load)[3]))] + [
+    c = _equal_time(g, load)[3]
+    candidates = [("C", RatePair(*c))] + [  # a vertex C equals is listed once, as C
         (label, RatePair(r1, r2))
         for label, (r1, r2) in standard_capacity_region(cfg).vertices
-        if side * (r1 * tau2 - r2 * tau1) >= 0.0
+        if side * (r1 * tau2 - r2 * tau1) >= 0.0 and (r1, r2) != c
     ]
     return sorted(
         (label, r)

@@ -16,7 +16,6 @@ lengths appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .capacity import _gammas
 from .constrained import _member, _split, _violations
@@ -26,6 +25,7 @@ from .types import (
     CompletionTimePair,
     RatePair,
     TrafficLoad,
+    _record,
     _require_finite,
     _require_tol,
     _require_unit_interval,
@@ -41,7 +41,7 @@ _BOTH = frozenset((1, 2))  # the user sets of a shared phase and of each solo ph
 _SOLO = (frozenset((1,)), frozenset((2,)))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class Phase(_Value):
     """One constant-rate interval; inactive users are silent (rate exactly 0)."""
 
@@ -88,7 +88,7 @@ def _user_set(users) -> frozenset[int]:
     return frozenset(_user_index("active user", user) for user in users)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class Schedule(_Value):
     """Phases run in order from time zero; `achieved` is the pair of completion times they reach."""
 
@@ -115,7 +115,7 @@ class Schedule(_Value):
 _set_phases, _set_achieved = _slot_setters(Schedule)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_record
 class ValidationReport(_Value):
     """The verdict of `validate`: ok, and the failed checks' messages (empty when ok)."""
 

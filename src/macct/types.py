@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 
 _INF = math.inf  # a global name, read faster than math.inf in every field check
 _NORMAL = 2.2250738585072014e-308  # 2^-1022, the smallest normal float
@@ -84,12 +84,8 @@ def _require_fields(
 
 
 def _slot_setters(cls) -> tuple:
-    """Each field's slot `__set__`, in field order: it stores a value past the frozen guard.
-
-    A hand-written `__init__` of a frozen, slotted dataclass stores each field with one call,
-    where the generated one looks up `object.__setattr__` and then calls `__post_init__`.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    """Each field's slot `__set__`, in field order: one call stores past `_Value`'s guard."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 def _user_index(name: str, value: int) -> int:
@@ -135,33 +131,53 @@ def _require_resolution(resolution: int) -> None:
 
 
 class _Value:
-    """Equality, hash and repr over the fields, written once for every value type.
+    """Every method of a value type, written once over its fields, its `__slots__` in order.
 
-    Each value type is a frozen, slotted dataclass declared with `eq=False, repr=False` on this
-    base, so `dataclass` builds none of the three per type.  They give what it would build: equal
-    only to an instance of the same class with equal fields, the hash of the field tuple, and
-    `Name(field=value!r, ...)`.
-    """
+    What a frozen, slotted dataclass would generate: equality within one class, the hash of the
+    field tuple, `Name(field=value!r, ...)`, `FrozenInstanceError` on assignment or deletion, and
+    the list of fields, `dataclass`'s pickle state.  `__init__` serves the unchecked records."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)  # the fields, in order
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # the rest by name, each field once
+            if len(args) + len(kwargs) != len(names) or kwargs.keys() - names[len(args):]:
+                raise TypeError(f"{self.__class__.__qualname__}() takes each of {names} once")
+            args += tuple(map(kwargs.__getitem__, names[len(args):]))
+        self.__setstate__(args)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self.__getstate__() == other.__getstate__()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(self.__getstate__()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+# A value type's declaration: its fields become slots, and `dataclass` writes no method.
+_record = dataclass(slots=True, init=False, eq=False, repr=False)
+
+
+@_record
 class ChannelConfig(_Value):
     """Two-user Gaussian multi-access channel, receive powers in linear SNR."""
 
@@ -179,7 +195,7 @@ class ChannelConfig(_Value):
 _set_p1, _set_p2 = _slot_setters(ChannelConfig)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class RatePair(_Value):
     """A point in rate space, bits per channel use.
 
@@ -206,7 +222,7 @@ class RatePair(_Value):
 _set_r1, _set_r2 = _slot_setters(RatePair)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class TrafficLoad(_Value):
     """Per-user bit load, bits per source unit."""
 
@@ -224,7 +240,7 @@ class TrafficLoad(_Value):
 _set_tau1, _set_tau2 = _slot_setters(TrafficLoad)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class CompletionTimePair(_Value):
     """A point in completion-time space, channel uses per source unit."""
 
@@ -245,7 +261,7 @@ class CompletionTimePair(_Value):
 _set_d1, _set_d2 = _slot_setters(CompletionTimePair)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@_record
 class HalfPlane(_Value):
     """Linear constraint a*x + b*y >= c."""
 
@@ -272,7 +288,7 @@ class HalfPlane(_Value):
 _set_a, _set_b, _set_c = _slot_setters(HalfPlane)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_record
 class ConvexPiece(_Value):
     """Intersection of half-planes with an annotated list of corner vertices.
 
@@ -282,3 +298,7 @@ class ConvexPiece(_Value):
 
     halfplanes: tuple[HalfPlane, ...]
     vertices: tuple[tuple[str, tuple[float, float]], ...] = ()
+
+    def __init__(self, halfplanes: tuple[HalfPlane, ...],
+                 vertices: tuple[tuple[str, tuple[float, float]], ...] = ()) -> None:
+        self.__setstate__((halfplanes, vertices))

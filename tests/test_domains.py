@@ -123,6 +123,21 @@ def test_overflowing_products_keep_the_weighted_optimum(w):
         tuple(1e308 * x for x in want.optimizer_point.as_tuple()), rel=1e-15)
 
 
+def test_an_other_cell_beyond_the_float_range_is_no_tie():
+    # The optimum is normal, but the row's other cell has a time beyond the float range; that
+    # cell is read only for the tie flag, and cannot tie.  The optimizer is the load over
+    # 2^1019's, times 2^1019.
+    cfg = ChannelConfig(20.82534985789076, 0.5079677004981731)
+    load = TrafficLoad(4.70140921258984e+307, 5.117972277907088e+307)
+    unit = TrafficLoad(math.ldexp(load.tau1, -1019), math.ldexp(load.tau2, -1019))
+    want = tuple(math.ldexp(x, 1019) for x in minimize_weighted_sum(cfg, unit, 0.3)
+                 .optimizer_point.as_tuple())
+    assert want == (2.4180968797808573e+307, 1.7272779412899537e+308)
+    for got in (minimize_weighted_sum(cfg, load, 0.3), minimize_subregion(cfg, load, 1, 0.3)):
+        assert (got.rate_point_label, got.branch, got.tie) == ("A", 1, False)
+        assert got.optimizer_point.as_tuple() == want
+
+
 def test_underflowing_branch_product_maps_point_c_to_cbar():
     # On branch 2, g1*r2 underflows to 0 (7.2e-41 times C's r2 of 7.2e-301).
     cfg, load = ChannelConfig(1e-40, 1e-40), TrafficLoad(1.0, 1e-260)

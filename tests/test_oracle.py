@@ -108,6 +108,16 @@ def test_minimax_bracket_with_optimum_on_a_floor():
     assert 158.89525391144966 <= report.optimum_value + 1e-9
 
 
+def test_a_vertex_equal_to_point_c_is_listed_once_as_c():
+    # C's second rate underflows to 0 and so equals vertex E; in exact arithmetic it is positive,
+    # so C dominates E.
+    cfg = ChannelConfig(9.639521646292748e-174, 1.1071907465775637e-231)
+    load = TrafficLoad(1.2814194349389433e-127, 2.6275598218875495e-297)
+    points = dominant_extreme_points(cfg, load, 1)
+    assert [label for label, _ in points] == ["C"]
+    assert points[0][1].as_tuple() == (6.953445037824182e-174, 0.0)
+
+
 def test_moderate_domain_grids_and_brackets():
     # 400 log-uniform scenarios, p in [1e-2, 1e4], tau in [1e-2, 1e2] and
     # w in [0.3, 0.7]: every load gets a grid and both closed forms lie in

@@ -1,16 +1,18 @@
 """The value types keep the dataclass contract, hand-written methods or not.
 
-All 16 value types are frozen, slotted dataclasses declared with `eq=False,
-repr=False` on one base, `types._Value`, which writes equality, hash and repr
-once for all of them.  The nine that check their fields (`ChannelConfig`,
-`TrafficLoad`, `RatePair`, `CompletionTimePair`, `HalfPlane`,
-`ConstrainedRateQuery`, `GridSpec`, `Phase`, `Schedule`) and
-`WeightedSumSolution` are built with `init=False` and one `__init__` that checks
-and stores each field once; `ConvexPiece`, `RegionDescription` and the plain
-records keep the generated one.  Each type is compared here with a reference of
-the same name and fields that the dataclass machinery builds whole: equality,
-hash, repr, fields, `replace`, pickling, `deepcopy` and the frozen guard must
-agree, and numbers that are not exact floats are stored as floats.
+All 16 value types are declared with one decorator, `types._record`, a
+`dataclass` that states the fields and slots and generates no method.  One
+base, `types._Value`, writes every method once for all of them: equality,
+hash, repr, the frozen guard, the pickle state, and the `__init__` of the
+records that check nothing.  The nine that check their fields
+(`ChannelConfig`, `TrafficLoad`, `RatePair`, `CompletionTimePair`,
+`HalfPlane`, `ConstrainedRateQuery`, `GridSpec`, `Phase`, `Schedule`) and
+`WeightedSumSolution` have one `__init__` that checks and stores each field
+once; `ConvexPiece` has one for its default.  Each type is compared here with
+a reference of the same name and fields that the dataclass machinery builds
+whole, frozen: equality, hash, repr, fields, `replace`, pickling, `deepcopy`
+and the frozen guard must agree, and numbers that are not exact floats are
+stored as floats.
 
 Run directly, this module needs neither pytest nor numpy:
     PYTHONPATH=src python tests/test_value_contract.py
@@ -83,7 +85,8 @@ def _reference(cls):
 
 REFERENCES = {cls: _reference(cls) for cls in SAMPLES}
 
-# The types whose `__init__` is written by hand; the other samples keep the generated one.
+# The types whose `__init__` checks or stores its fields by hand; ConvexPiece has one for its
+# default, and the other samples (`RECORDS`) share the base's.
 HAND_WRITTEN = (CompletionTimePair, RatePair, HalfPlane, Phase, Schedule, WeightedSumSolution,
                 ChannelConfig, TrafficLoad, ConstrainedRateQuery, GridSpec)
 
@@ -106,19 +109,50 @@ def test_every_value_type_is_sampled():
 def test_hand_written_init():
     for cls in SAMPLES:
         params = cls.__dataclass_params__
-        assert params.frozen and params.init is (cls not in HAND_WRITTEN), cls
-        assert "__init__" in vars(cls) and "__post_init__" not in vars(cls), cls
+        assert not (params.init or params.eq or params.repr or params.frozen), cls
+        own = cls in HAND_WRITTEN or cls is ConvexPiece  # ConvexPiece: for its default
+        assert ("__init__" in vars(cls)) is own and "__post_init__" not in vars(cls), cls
         assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls)), cls
+    # Immutability is the shared base's, not dataclass's: a frozen dataclass subclass is refused.
+    _raises(TypeError, dataclasses.dataclass(frozen=True), type("Sub", (ChannelConfig,), {}))
+
+
+# The methods the shared base writes once; `__replace__` is one dataclass shares from 3.13.
+SHARED = ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__getstate__",
+          "__setstate__") + (("__replace__",) if hasattr(ChannelConfig, "__replace__") else ())
+RECORDS = (RateDecomposition, Thresholds, RegionDescription, OracleReport, ValidationReport)
 
 
 def test_one_shared_equality_hash_and_repr():
     # No type carries its own copy: each reads the one the shared base defines.
-    shared = {name: getattr(ChannelConfig, name) for name in ("__eq__", "__hash__", "__repr__")}
+    shared = {name: getattr(ChannelConfig, name) for name in SHARED}
     for cls in SAMPLES:
         params = cls.__dataclass_params__
         assert not params.eq and not params.repr and not params.order, cls
         for name, method in shared.items():
-            assert name not in vars(cls) and getattr(cls, name) is method, (cls, name)
+            assert getattr(cls, name) is method, (cls, name)
+            assert name not in vars(cls) or name == "__replace__", (cls, name)
+    # The records that check nothing share one `__init__`, which no checked type uses.
+    init = RECORDS[0].__init__
+    assert all(cls.__init__ is init for cls in RECORDS)
+    assert all(cls.__init__ is not init for cls in set(SAMPLES) - set(RECORDS))
+
+
+def test_records_refuse_a_missing_unknown_or_repeated_field():
+    for cls in RECORDS:
+        args = SAMPLES[cls][0]
+        first = cls.__slots__[0]
+        for bad_args, bad_kwargs in (
+            (args[:-1], {}),  # a field missing
+            (args + args[:1], {}),  # one too many
+            (args, {"unknown": 1}),
+            (args[1:], {"unknown": args[0]}),
+            (args, {first: args[0]}),  # given twice
+        ):
+            for make in (cls, REFERENCES[cls]):
+                _raises(TypeError, make, *bad_args, **bad_kwargs)
+        err = _raises(TypeError, cls, *args[:-1])
+        assert cls.__qualname__ in str(err) and cls.__slots__[-1] in str(err), err
 
 
 def test_fields_repr_hash_and_equality_match_the_reference():
@@ -158,6 +192,32 @@ def test_pickle_and_deepcopy_round_trip():
         clone = copy.deepcopy(obj)
         assert type(clone) is cls and clone == obj and repr(clone) == repr(obj), cls
         assert copy.copy(obj) == obj, cls
+
+
+# A protocol-4 and a protocol-0 pickle of a Schedule made while `dataclass` wrote the frozen
+# types' `__getstate__` and `__setstate__`: the shared ones read and write the same state.
+OLD_SCHEDULE = Schedule((PHASE,), CompletionTimePair(1.5, 1.5))
+OLD_PICKLES = (
+    b"\x80\x04\x95\xb5\x00\x00\x00\x00\x00\x00\x00\x8c\x0emacct.schedule\x94\x8c\x08Schedule\x94"
+    b"\x93\x94)\x81\x94]\x94(h\x00\x8c\x05Phase\x94\x93\x94)\x81\x94]\x94(G?\xf8\x00\x00\x00\x00"
+    b"\x00\x00\x8c\x0bmacct.types\x94\x8c\x08RatePair\x94\x93\x94)\x81\x94]\x94(G?\xe0\x00\x00\x00"
+    b"\x00\x00\x00G?\xd0\x00\x00\x00\x00\x00\x00eb(K\x01K\x02\x91\x94eb\x85\x94h\t\x8c\x12Complet"
+    b"ionTimePair\x94\x93\x94)\x81\x94]\x94(G?\xf8\x00\x00\x00\x00\x00\x00G?\xf8\x00\x00\x00\x00"
+    b"\x00\x00ebeb.",
+    b"ccopy_reg\n_reconstructor\np0\n(cmacct.schedule\nSchedule\np1\nc__builtin__\nobject\np2\n"
+    b"Ntp3\nRp4\n(lp5\n(g0\n(cmacct.schedule\nPhase\np6\ng2\nNtp7\nRp8\n(lp9\nF1.5\nag0\n(cmac"
+    b"ct.types\nRatePair\np10\ng2\nNtp11\nRp12\n(lp13\nF0.5\naF0.25\nabac__builtin__\nfrozens"
+    b"et\np14\n((lp15\nI1\naI2\natp16\nRp17\nabtp18\nag0\n(cmacct.types\nCompletionTimePair\n"
+    b"p19\ng2\nNtp20\nRp21\n(lp22\nF1.5\naF1.5\nabab.",
+)
+
+
+def test_pickles_load_across_the_shared_pickle_state():
+    for protocol, data in zip((4, 0), OLD_PICKLES):
+        back = pickle.loads(data)
+        assert type(back) is Schedule and back == OLD_SCHEDULE, protocol
+        assert repr(back) == repr(OLD_SCHEDULE), protocol
+        assert pickle.dumps(OLD_SCHEDULE, protocol) == data, protocol  # and the old code loads it
 
 
 def test_fields_are_frozen():
