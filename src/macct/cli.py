@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="interpret --p1/--p2 as dB")
     common.add_argument("--tau1", type=float, help="bit load of user 1 per source unit")
     common.add_argument("--tau2", type=float, help="bit load of user 2 per source unit")
-    common.add_argument("--tol", type=float, help="membership tolerance (default 1e-9)")
+    common.add_argument("--tol", type=float,
+                        help="membership tolerance of check and schedule (default 1e-9)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import FrozenInstanceError, dataclass
 
 _INF = math.inf  # a global name, read faster than math.inf in every field check
 _NORMAL = 2.2250738585072014e-308  # 2^-1022, the smallest normal float
@@ -130,12 +129,30 @@ def _require_resolution(resolution: int) -> None:
         raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, got {resolution!r}")
 
 
+class _Lazy(dict):
+    """A record's `__dataclass_fields__` or `__dataclass_params__`, held as the class body that
+    `dataclass` reads (the annotations and the class defaults).  The first read builds both and
+    stores them on the record, over this descriptor (two racing reads store equal ones)."""
+
+    def __set_name__(self, record, name: str) -> None:
+        self.record, self.name = record, name
+
+    def __get__(self, obj, owner):
+        from dataclasses import dataclass
+
+        made = dataclass(slots=True, init=False, eq=False, repr=False)(type("", (), self))
+        self.record.__dataclass_fields__ = made.__dataclass_fields__
+        self.record.__dataclass_params__ = made.__dataclass_params__
+        return getattr(made, self.name)
+
+
 class _Value:
     """Every method of a value type, written once over its fields, its `__slots__` in order.
 
     What a frozen, slotted dataclass would generate: equality within one class, the hash of the
-    field tuple, `Name(field=value!r, ...)`, `FrozenInstanceError` on assignment or deletion, and
-    the list of fields, `dataclass`'s pickle state.  `__init__` serves the unchecked records."""
+    field tuple, `Name(field=value!r, ...)`, `FrozenInstanceError` on assignment or deletion, the
+    list of fields (its pickle state) and a checked `__replace__`.  `__init__` serves the unchecked
+    records."""
 
     __slots__ = ()
 
@@ -160,10 +177,15 @@ class _Value:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, **changes):
+        return self.__class__(**dict(zip(self.__slots__, self.__getstate__()), **changes))
 
     def __getstate__(self) -> list:
         return [getattr(self, name) for name in self.__slots__]
@@ -173,8 +195,15 @@ class _Value:
             object.__setattr__(self, name, value)
 
 
-# A value type's declaration: its fields become slots, and `dataclass` writes no method.
-_record = dataclass(slots=True, init=False, eq=False, repr=False)
+def _record(cls):
+    """A value type's declaration: the class built again with its annotated names as `__slots__`
+    and `__match_args__`, a class default dropped, and its dataclass attributes made on demand."""
+    names = tuple(cls.__annotations__)
+    spec = {k: v for k, v in vars(cls).items() if k in (*names, "__annotations__")}
+    body = {k: v for k, v in vars(cls).items() if k not in (*names, "__dict__", "__weakref__")}
+    body.update(__slots__=names, __match_args__=names, __qualname__=cls.__qualname__,
+                __dataclass_fields__=_Lazy(spec), __dataclass_params__=_Lazy(spec))
+    return type(cls)(cls.__name__, cls.__bases__, body)
 
 
 @_record

@@ -1,11 +1,14 @@
 """The value types keep the dataclass contract, hand-written methods or not.
 
-All 16 value types are declared with one decorator, `types._record`, a
-`dataclass` that states the fields and slots and generates no method.  One
-base, `types._Value`, writes every method once for all of them: equality,
-hash, repr, the frozen guard, the pickle state, and the `__init__` of the
-records that check nothing.  The nine that check their fields
-(`ChannelConfig`, `TrafficLoad`, `RatePair`, `CompletionTimePair`,
+All 16 value types are declared with one decorator, `types._record`, which
+is macct's own and no `dataclass`: it builds each class again with its
+annotated fields as `__slots__` and `__match_args__`.  `dataclass` builds
+their `__dataclass_fields__` and `__dataclass_params__` only when one is
+first read, so a run that never reads them never imports `dataclasses`.
+One base, `types._Value`, writes every method once for all of them:
+equality, hash, repr, the frozen guard, the pickle state, `__replace__`, and
+the `__init__` of the records that check nothing.  The nine that check their
+fields (`ChannelConfig`, `TrafficLoad`, `RatePair`, `CompletionTimePair`,
 `HalfPlane`, `ConstrainedRateQuery`, `GridSpec`, `Phase`, `Schedule`) and
 `WeightedSumSolution` have one `__init__` that checks and stores each field
 once; `ConvexPiece` has one for its default.  Each type is compared here with
@@ -25,6 +28,7 @@ import pickle
 from fractions import Fraction
 
 import macct
+import macct.types
 from macct import (
     Case,
     ChannelConfig,
@@ -117,9 +121,9 @@ def test_hand_written_init():
     _raises(TypeError, dataclasses.dataclass(frozen=True), type("Sub", (ChannelConfig,), {}))
 
 
-# The methods the shared base writes once; `__replace__` is one dataclass shares from 3.13.
+# The methods the shared base writes once, `__replace__` on every version.
 SHARED = ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__getstate__",
-          "__setstate__") + (("__replace__",) if hasattr(ChannelConfig, "__replace__") else ())
+          "__setstate__", "__replace__")
 RECORDS = (RateDecomposition, Thresholds, RegionDescription, OracleReport, ValidationReport)
 
 
@@ -131,7 +135,7 @@ def test_one_shared_equality_hash_and_repr():
         assert not params.eq and not params.repr and not params.order, cls
         for name, method in shared.items():
             assert getattr(cls, name) is method, (cls, name)
-            assert name not in vars(cls) or name == "__replace__", (cls, name)
+            assert name not in vars(cls), (cls, name)
     # The records that check nothing share one `__init__`, which no checked type uses.
     init = RECORDS[0].__init__
     assert all(cls.__init__ is init for cls in RECORDS)
@@ -181,6 +185,61 @@ def test_replace_matches_the_reference_and_checks_again():
     assert str(err) == "d2 must be > 0, got 0.0"
     err = _raises(ValueError, dataclasses.replace, PHASE, active_users={1})
     assert str(err) == "inactive user 2 must have rate 0"
+
+
+def test_replace_checks_with_the_types_own_message():
+    # `__replace__` builds through the type's own `__init__` on every version; `copy.replace`,
+    # from 3.13, calls it.
+    replacers = [ChannelConfig.__replace__] + ([copy.replace] if hasattr(copy, "replace") else [])
+    spec = GridSpec(16, (0.5, 2.0), (0.5, 2.0))
+    for obj, change, message in (
+        (CompletionTimePair(1.0, 1.0), {"d2": 0.0}, "d2 must be > 0, got 0.0"),
+        (ChannelConfig(3.0, 0.5), {"p1": math.nan}, "p1 must be finite, got nan"),
+        (PHASE, {"active_users": {1}}, "inactive user 2 must have rate 0"),
+        (spec, {"resolution": 8}, "grid resolution must be an int >= 16, got 8"),
+    ):
+        for replace in replacers:
+            assert str(_raises(ValueError, replace, obj, **change)) == message, (obj, replace)
+    for replace in replacers:
+        _raises(TypeError, replace, spec, unknown=1)
+        for cls, (args, other) in SAMPLES.items():
+            changed = replace(cls(*args), **{cls.__slots__[0]: other[0]})
+            assert type(changed) is cls and changed == cls(other[0], *args[1:]), (cls, replace)
+            assert replace(cls(*args)) == cls(*args), (cls, replace)
+
+
+def test_match_args_are_the_fields():
+    for cls in SAMPLES:
+        assert cls.__match_args__ == cls.__slots__, cls
+    match ChannelConfig(3.0, 0.5):
+        case ChannelConfig(p1, p2):
+            assert (p1, p2) == (3.0, 0.5)
+        case _:
+            raise AssertionError("ChannelConfig(p1, p2) did not match")
+
+
+def test_dataclass_attributes_are_the_records_alone():
+    assert not dataclasses.is_dataclass(macct.types._Value)
+    _raises(AttributeError, getattr, macct.types._Value, "__dataclass_fields__")
+    assert dataclasses.fields(ConvexPiece)[1].default == ()  # the declared default
+    # A plain subclass reads its record's fields, also when it is the first to read them.
+    for cls in SAMPLES:
+        sub = type("Sub", (cls,), {})
+        assert dataclasses.fields(sub) == dataclasses.fields(cls), cls
+
+    @macct.types._record
+    class Pair(macct.types._Value):
+        x: float
+        y: tuple = ()
+
+    class Sub(Pair):
+        pass
+
+    got = [(f.name, f.type, f.default) for f in dataclasses.fields(Sub)]
+    assert got == [("x", float, dataclasses.MISSING), ("y", tuple, ())]
+    assert "__dataclass_fields__" not in vars(Sub)
+    assert vars(Pair)["__dataclass_fields__"] is Sub.__dataclass_fields__  # stored once
+    assert Pair.__slots__ == Pair.__match_args__ == ("x", "y")
 
 
 def test_pickle_and_deepcopy_round_trip():
