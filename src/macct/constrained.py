@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .capacity import Gammas, _gammas, gamma
 from .types import (EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite,
-                    _record, _require_tol, _shifted, _slot_setters, _Value)
+                    _record, _require_tol, _shifted, _Value)
 
 # Constraint names used in slack reports and infeasibility errors.
 SINGLE_USER_1 = "single_user_1"
@@ -52,11 +52,9 @@ class ConstrainedRateQuery(_Value):
             raise ValueError(f"c must be a positive finite ratio, got {c!r}")
         if not _C_MIN <= c <= _C_MAX:
             raise ValueError(f"c={c} is outside the well-conditioned range [{_C_MIN}, {_C_MAX}]")
-        _set_rates(self, rates)
-        _set_c(self, c)
-
-
-_set_rates, _set_c = _slot_setters(ConstrainedRateQuery)
+        if not isinstance(rates, RatePair):
+            raise ValueError(f"rates must be a RatePair, got {rates!r}")
+        self.__setstate__((rates, c))
 
 
 @_record

@@ -39,7 +39,6 @@ from .types import (
     _record,
     _require_unit_interval,
     _shifted,
-    _slot_setters,
     _user_index,
     _Value,
 )
@@ -108,8 +107,8 @@ class WeightedSumSolution(_Value):
         _set_tie(self, tie)
 
 
-_set_weight, _set_value, _set_point, _set_label, _set_branch, _set_tie = _slot_setters(
-    WeightedSumSolution
+_set_weight, _set_value, _set_point, _set_label, _set_branch, _set_tie = (
+    WeightedSumSolution._setters
 )
 
 

@@ -43,7 +43,6 @@ from .types import (
     _require_tol,
     _require_unit_interval,
     _shifted,
-    _slot_setters,
     _user_index,
     _Value,
 )
@@ -69,10 +68,8 @@ class GridSpec(_Value):
     def __init__(
         self, resolution: int, d1_bounds: tuple[float, float], d2_bounds: tuple[float, float]
     ) -> None:
-        _require_resolution(resolution)
-        _set_resolution(self, resolution)
-        for name, bounds, store in (("d1_bounds", d1_bounds, _set_d1_bounds),
-                                    ("d2_bounds", d2_bounds, _set_d2_bounds)):
+        fields = [_require_resolution(resolution)]
+        for name, bounds in zip(self.__match_args__[1:], (d1_bounds, d2_bounds)):
             try:
                 lo, hi = bounds
             except (TypeError, ValueError):  # not iterable, or not two values
@@ -80,7 +77,8 @@ class GridSpec(_Value):
             lo, hi = _require_finite(name, lo), _require_finite(name, hi)
             if not 0.0 < lo < hi:
                 raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo}, {hi})")
-            store(self, (lo, hi))
+            fields.append((lo, hi))
+        self.__setstate__(fields)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         np = _numpy()
@@ -97,9 +95,6 @@ class GridSpec(_Value):
 
     def cell_diagonal(self) -> float:
         return math.hypot(*self.steps())
-
-
-_set_resolution, _set_d1_bounds, _set_d2_bounds = _slot_setters(GridSpec)
 
 
 @_record

@@ -29,7 +29,6 @@ from .types import (
     _require_finite,
     _require_tol,
     _require_unit_interval,
-    _slot_setters,
     _user_index,
     _Value,
 )
@@ -68,7 +67,7 @@ class Phase(_Value):
         _set_users(self, users)
 
 
-_set_duration, _set_rates, _set_users = _slot_setters(Phase)
+_set_duration, _set_rates, _set_users = Phase._setters
 
 
 def _user_set(users) -> frozenset[int]:
@@ -112,7 +111,7 @@ class Schedule(_Value):
         return bits
 
 
-_set_phases, _set_achieved = _slot_setters(Schedule)
+_set_phases, _set_achieved = Schedule._setters
 
 
 @_record

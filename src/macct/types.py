@@ -71,20 +71,13 @@ def _shifted(values: tuple, small: float, low: float, large: float, high: float)
     return math.ldexp(1.0, -k), tuple(math.ldexp(v, k) for v in values)
 
 
-def _require_fields(
-    obj, names: tuple[str, ...], values: tuple, floor: float, rule: str = ""
-) -> None:
-    """Store each value in frozen obj's named field as a finite float above floor (`rule`)."""
-    for name, value in zip(names, values):
+def _require_fields(obj, values: tuple, floor: float, rule: str = "") -> None:
+    """Store each value in frozen obj's fields, in order, as a finite float above floor (`rule`)."""
+    for name, store, value in zip(obj.__match_args__, obj._setters, values):
         value = _require_finite(name, value)  # stored as an exact float
         if not value > floor:
             raise ValueError(f"{name} must be {rule}, got {value}")
-        object.__setattr__(obj, name, value)
-
-
-def _slot_setters(cls) -> tuple:
-    """Each field's slot `__set__`, in field order: one call stores past `_Value`'s guard."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        store(obj, value)
 
 
 def _user_index(name: str, value: int) -> int:
@@ -120,13 +113,14 @@ def _require_tol(tol: float) -> None:
 _MIN_RESOLUTION = 16
 
 
-def _require_resolution(resolution: int) -> None:
-    """Refuse a grid resolution that is not an int of at least `_MIN_RESOLUTION`."""
+def _require_resolution(resolution: int) -> int:
+    """The grid resolution as an int of at least `_MIN_RESOLUTION`; anything else is refused."""
     value = -1  # a non-integer stays below the minimum
     with contextlib.suppress(TypeError):  # numpy ints pass; a bool (0 or 1) is below it
         value = operator.index(resolution)
     if value < _MIN_RESOLUTION:
         raise ValueError(f"grid resolution must be an int >= {_MIN_RESOLUTION}, got {resolution!r}")
+    return value
 
 
 class _Lazy(dict):
@@ -147,17 +141,17 @@ class _Lazy(dict):
 
 
 class _Value:
-    """Every method of a value type, written once over its fields, its `__slots__` in order.
+    """Every method of a value type, written once over its fields, its `__match_args__` in order.
 
     What a frozen, slotted dataclass would generate: equality within one class, the hash of the
     field tuple, `Name(field=value!r, ...)`, `FrozenInstanceError` on assignment or deletion, the
-    list of fields (its pickle state) and a checked `__replace__`.  `__init__` serves the unchecked
-    records."""
+    list of fields (its pickle state, stored back through `_setters`) and a checked `__replace__`.
+    `__init__` serves the unchecked records."""
 
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
+        names = self.__match_args__
         if kwargs or len(args) != len(names):  # the rest by name, each field once
             if len(args) + len(kwargs) != len(names) or kwargs.keys() - names[len(args):]:
                 raise TypeError(f"{self.__class__.__qualname__}() takes each of {names} once")
@@ -173,7 +167,7 @@ class _Value:
         return hash(tuple(self.__getstate__()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -185,25 +179,28 @@ class _Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __replace__(self, **changes):
-        return self.__class__(**dict(zip(self.__slots__, self.__getstate__()), **changes))
+        return self.__class__(**dict(zip(self.__match_args__, self.__getstate__()), **changes))
 
     def __getstate__(self) -> list:
-        return [getattr(self, name) for name in self.__slots__]
+        return [getattr(self, name) for name in self.__match_args__]
 
     def __setstate__(self, state) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, state):
+            store(self, value)
 
 
 def _record(cls):
     """A value type's declaration: the class built again with its annotated names as `__slots__`
-    and `__match_args__`, a class default dropped, and its dataclass attributes made on demand."""
+    and `__match_args__`, a class default dropped, and its dataclass attributes made on demand.
+    `_setters` holds each slot's `__set__` in field order: one call stores past the frozen guard."""
     names = tuple(cls.__annotations__)
     spec = {k: v for k, v in vars(cls).items() if k in (*names, "__annotations__")}
     body = {k: v for k, v in vars(cls).items() if k not in (*names, "__dict__", "__weakref__")}
     body.update(__slots__=names, __match_args__=names, __qualname__=cls.__qualname__,
                 __dataclass_fields__=_Lazy(spec), __dataclass_params__=_Lazy(spec))
-    return type(cls)(cls.__name__, cls.__bases__, body)
+    record = type(cls)(cls.__name__, cls.__bases__, body)
+    record._setters = tuple(vars(record)[name].__set__ for name in names)
+    return record
 
 
 @_record
@@ -214,14 +211,7 @@ class ChannelConfig(_Value):
     p2: float
 
     def __init__(self, p1: float, p2: float) -> None:
-        if type(p1) is type(p2) is float and 0.0 < p1 < _INF and 0.0 < p2 < _INF:
-            _set_p1(self, p1)
-            _set_p2(self, p2)
-        else:
-            _require_fields(self, ("p1", "p2"), (p1, p2), 0.0, "> 0 (zero power never completes)")
-
-
-_set_p1, _set_p2 = _slot_setters(ChannelConfig)
+        _require_fields(self, (p1, p2), 0.0, "> 0 (zero power never completes)")
 
 
 @_record
@@ -242,13 +232,13 @@ class RatePair(_Value):
             _set_r1(self, r1)
             _set_r2(self, r2)
         else:
-            _require_fields(self, ("r1", "r2"), (r1, r2), -5e-324, ">= 0")
+            _require_fields(self, (r1, r2), -5e-324, ">= 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.r1, self.r2)
 
 
-_set_r1, _set_r2 = _slot_setters(RatePair)
+_set_r1, _set_r2 = RatePair._setters
 
 
 @_record
@@ -259,14 +249,7 @@ class TrafficLoad(_Value):
     tau2: float
 
     def __init__(self, tau1: float, tau2: float) -> None:
-        if type(tau1) is type(tau2) is float and 0.0 < tau1 < _INF and 0.0 < tau2 < _INF:
-            _set_tau1(self, tau1)
-            _set_tau2(self, tau2)
-        else:
-            _require_fields(self, ("tau1", "tau2"), (tau1, tau2), 0.0, "> 0")
-
-
-_set_tau1, _set_tau2 = _slot_setters(TrafficLoad)
+        _require_fields(self, (tau1, tau2), 0.0, "> 0")
 
 
 @_record
@@ -281,13 +264,13 @@ class CompletionTimePair(_Value):
             _set_d1(self, d1)
             _set_d2(self, d2)
         else:
-            _require_fields(self, ("d1", "d2"), (d1, d2), 0.0, "> 0")
+            _require_fields(self, (d1, d2), 0.0, "> 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.d1, self.d2)
 
 
-_set_d1, _set_d2 = _slot_setters(CompletionTimePair)
+_set_d1, _set_d2 = CompletionTimePair._setters
 
 
 @_record
@@ -305,7 +288,7 @@ class HalfPlane(_Value):
             _set_b(self, b)
             _set_c(self, c)
         else:
-            _require_fields(self, ("a", "b", "c"), (a, b, c), -_INF)
+            _require_fields(self, (a, b, c), -_INF)
         if self.a == 0.0 and self.b == 0.0:
             raise ValueError("half-plane normal (a, b) must be nonzero")
 
@@ -314,7 +297,7 @@ class HalfPlane(_Value):
         return self.a * x + self.b * y - self.c
 
 
-_set_a, _set_b, _set_c = _slot_setters(HalfPlane)
+_set_a, _set_b, _set_c = HalfPlane._setters
 
 
 @_record

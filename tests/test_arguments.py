@@ -89,6 +89,16 @@ def test_constrained_ratio_rejects_bool(bad):
         ConstrainedRateQuery(R, bad)
 
 
+@pytest.mark.parametrize(
+    "bad", [(0.5, 0.5), CompletionTimePair(0.5, 0.5), None], ids=["tuple", "pair", "None"]
+)
+def test_constrained_rates_must_be_a_rate_pair(bad):
+    # Refused when built, as `Phase` refuses them, not when `constrained_contains` reads r1.
+    with pytest.raises(ValueError) as err:
+        ConstrainedRateQuery(bad, 1.0)
+    assert str(err.value) == f"rates must be a RatePair, got {bad!r}"
+
+
 def test_grid_bounds_reject_bool():
     with pytest.raises(ValueError, match="boolean"):
         GridSpec(16, (True, 2.0), (0.5, 2.0))
@@ -114,6 +124,8 @@ def test_grid_resolution_rejected(bad):
 
 def test_numpy_int_grid_resolution_accepted():
     spec = GridSpec(np.int64(32), (0.5, 2.0), (0.5, 2.0))
+    assert type(spec.resolution) is int  # stored as a builtin, as every other numeric field
+    assert repr(spec) == "GridSpec(resolution=32, d1_bounds=(0.5, 2.0), d2_bounds=(0.5, 2.0))"
     assert spec.axes()[0].size == 32
     assert spec.steps() == GridSpec(32, (0.5, 2.0), (0.5, 2.0)).steps()
 

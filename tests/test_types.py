@@ -1,9 +1,13 @@
-"""The value types test exact in-range floats with one chained comparison.
+"""The float value types store exact floats as given and every other real as a float.
 
-Anything that fails it falls through to the field-by-field checks.  The
-rows here are where the two could part: signed zero and the extremes of
-the float range, numbers that are not exact floats in one field or in all
-of them, and the values that must still be refused with their messages.
+`RatePair`, `CompletionTimePair` and `HalfPlane`, built many times per
+query, test exact in-range floats with one chained comparison; anything that
+fails it falls through to the field-by-field checks of `_require_fields`.
+`ChannelConfig` and `TrafficLoad`, built once per query, have that one path
+alone.  The rows here are where the two paths could part: signed zero and
+the extremes of the float range, numbers that are not exact floats in one
+field or in all of them, and the values that must still be refused with
+their messages.
 `tests/test_arguments.py` pins each field alone, the others at 1.0; here
 the fields vary together.
 """
@@ -19,6 +23,7 @@ import macct.types as types
 from macct import ChannelConfig, CompletionTimePair, HalfPlane, RatePair, TrafficLoad
 
 TYPES = (ChannelConfig, TrafficLoad, RatePair, CompletionTimePair, HalfPlane)
+FAST = (RatePair, CompletionTimePair, HalfPlane)  # exact in-range floats skip `_require_fields`
 
 
 def _fields(cls):
@@ -43,7 +48,7 @@ def test_exact_floats_pass_untouched(cls, value, slow_path_calls):
     values = [value] * len(_fields(cls))
     obj = _build(cls, values)
     assert all(getattr(obj, name) is value for name in _fields(cls))
-    assert slow_path_calls == []
+    assert len(slow_path_calls) == (0 if cls in FAST else 1)
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,15 @@
 
 All 16 value types are declared with one decorator, `types._record`, which
 is macct's own and no `dataclass`: it builds each class again with its
-annotated fields as `__slots__` and `__match_args__`.  `dataclass` builds
-their `__dataclass_fields__` and `__dataclass_params__` only when one is
-first read, so a run that never reads them never imports `dataclasses`.
-One base, `types._Value`, writes every method once for all of them:
-equality, hash, repr, the frozen guard, the pickle state, `__replace__`, and
-the `__init__` of the records that check nothing.  The nine that check their
-fields (`ChannelConfig`, `TrafficLoad`, `RatePair`, `CompletionTimePair`,
+annotated fields as `__slots__` and `__match_args__`, and each slot's
+setter, in field order, as `_setters`.  `dataclass` builds their
+`__dataclass_fields__` and `__dataclass_params__` only when one is first
+read, so a run that never reads them never imports `dataclasses`.  One base,
+`types._Value`, writes every method once for all of them: equality, hash,
+repr, the frozen guard, the pickle state, `__replace__`, and the `__init__`
+of the records that check nothing, each over `__match_args__`, so a subclass
+that declares no field keeps its type's.  The nine that check their fields
+(`ChannelConfig`, `TrafficLoad`, `RatePair`, `CompletionTimePair`,
 `HalfPlane`, `ConstrainedRateQuery`, `GridSpec`, `Phase`, `Schedule`) and
 `WeightedSumSolution` have one `__init__` that checks and stores each field
 once; `ConvexPiece` has one for its default.  Each type is compared here with
@@ -211,6 +213,8 @@ def test_replace_checks_with_the_types_own_message():
 def test_match_args_are_the_fields():
     for cls in SAMPLES:
         assert cls.__match_args__ == cls.__slots__, cls
+        assert [store.__self__ for store in cls._setters] == [
+            vars(cls)[name] for name in cls.__slots__], cls  # each slot's setter, in order
     match ChannelConfig(3.0, 0.5):
         case ChannelConfig(p1, p2):
             assert (p1, p2) == (3.0, 0.5)
@@ -251,6 +255,28 @@ def test_pickle_and_deepcopy_round_trip():
         clone = copy.deepcopy(obj)
         assert type(clone) is cls and clone == obj and repr(clone) == repr(obj), cls
         assert copy.copy(obj) == obj, cls
+
+
+# A subclass of each type that declares no field of its own (`__slots__ = ()`), defined in this
+# module under its own name so that pickle finds it.
+SUBCLASSES = {cls: type(f"Sub{cls.__name__}", (cls,), {"__slots__": (), "__module__": __name__})
+              for cls in SAMPLES}
+globals().update((sub.__name__, sub) for sub in SUBCLASSES.values())
+
+
+def test_a_subclass_keeps_the_fields_it_inherits():
+    for cls, (args, other) in SAMPLES.items():
+        sub = SUBCLASSES[cls]
+        obj = sub(*args)
+        assert repr(obj) == repr(cls(*args)).replace(cls.__name__, sub.__name__, 1), cls
+        assert obj == sub(*args) and obj != sub(*other) and obj != cls(*args), cls
+        assert hash(obj) == hash(cls(*args)) != hash(sub(*other)), cls
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert type(back) is sub and back == obj and repr(back) == repr(obj), (cls, protocol)
+        assert type(copy.deepcopy(obj)) is sub and copy.deepcopy(obj) == obj, cls
+        changed = obj.__replace__(**{cls.__match_args__[0]: other[0]})
+        assert type(changed) is sub and changed == sub(other[0], *args[1:]), cls
 
 
 # A protocol-4 and a protocol-0 pickle of a Schedule made while `dataclass` wrote the frozen
