@@ -60,7 +60,7 @@ def gamma(x: float) -> float:
 
 
 def _gammas(cfg: ChannelConfig) -> Gammas:
-    """The channel's `Gammas`; s1 and s2 skip `gamma`'s checks, their arguments are in range."""
+    """The channel's `Gammas`, the one caller of `gamma`; s1 and s2 skip its checks (in range)."""
     p1, p2 = cfg.p1, cfg.p2
     return (gamma(p1), gamma(p2), gamma(p1 + p2),
             math.log1p(p1 / (1.0 + p2)) / _LN4, math.log1p(p2 / (1.0 + p1)) / _LN4)

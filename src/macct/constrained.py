@@ -25,7 +25,7 @@ reads it at c = 1).
 
 from __future__ import annotations
 
-from .capacity import Gammas, _gammas, gamma
+from .capacity import Gammas, _gammas
 from .types import (EPS_MEM, ChannelConfig, InfeasibleError, RatePair, _require_finite,
                     _record, _require_tol, _shifted, _Value)
 
@@ -160,10 +160,9 @@ def clamp_transform(cfg: ChannelConfig, q: ConstrainedRateQuery) -> RatePair:
     r1, r2 = q.rates.r1, q.rates.r2
     if c == 1.0:
         return q.rates
+    g1, g2 = _gammas(cfg)[:2]
     if c < 1.0:
-        g2 = gamma(cfg.p2)
         return RatePair(r1, max(0.0, r2 / c - (1.0 / c - 1.0) * g2))
-    g1 = gamma(cfg.p1)
     return RatePair(max(0.0, c * r1 - (c - 1.0) * g1), r2)
 
 

@@ -33,7 +33,8 @@ lie below the demand ray and D2 those above it (`_PIECE_CORNERS`).  A piece
 carries its sum constraint exactly when it holds a corner; its vertices are
 Cbar and the images of its corners (D1's on branch 1, primed: Bbar', Abar';
 D2's on branch 2: Bbar, Abar).  The boundary polyline and the optimum tables
-in `optimize` are read from the same table.
+in `optimize` are read from the same table, and the vertices and the optima
+off the same images, read in one frame (`_image_frame`).
 
 In Case II the union of the two pieces is not convex: it has a notch at the
 equal-time vertex Cbar.
@@ -47,7 +48,7 @@ TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
-from .capacity import Gammas, _corner_gammas, _corners, _gammas, gamma
+from .capacity import Gammas, _corner_gammas, _corners, _gammas
 from .constrained import _NAMES, _member, _require_member, _slacks, _tests
 from .types import (
     EPS_MEM,
@@ -185,6 +186,17 @@ def _corner_image(g: tuple, load: TrafficLoad, branch: int, label: str) -> tuple
     return _map_rate_to_ct(g, load, branch, (g[0], g[4]), g[5] if branch == 1 else None)
 
 
+def _image_frame(g: tuple, load: TrafficLoad) -> tuple[float, TrafficLoad]:
+    """(back, load): the load the corner images are read off, given the `_corner_gammas`, and the
+    power of two that takes them back.  An image adds quotients of the load by rates from s_i to
+    g12, each at most (tau1 + tau2)/s_i: where one would fall below the normal range the load is
+    `_shifted` up, never down: a time beyond the float range is refused."""
+    tau1, tau2, s = load.tau1, load.tau2, g[3] if g[3] < g[4] else g[4]
+    back, shifted = _shifted((tau1, tau2), tau1 if tau1 < tau2 else tau2, 1.0 / g[2],
+                             tau1 + tau2, 1.0 / s if s else _INF)
+    return (back, TrafficLoad(*shifted)) if back < 1.0 else (1.0, load)
+
+
 def _late_time(tau: float, g: float, spare: float, tau_early: float, r_early: float) -> float:
     """tau/g + (spare/g)*(tau_early/r_early), spare = g - r: the late finisher's bits left after
     the shared phase of length tau_early/r_early at rate r, sent alone at its solo rate g.  No two
@@ -221,7 +233,7 @@ def ct_contains_grid(
 
 def outer_bound(cfg: ChannelConfig, load: TrafficLoad) -> ConvexPiece:
     """Quadrant bound: no user beats its interference-free completion time."""
-    floors = _floors(load, gamma(cfg.p1), gamma(cfg.p2))
+    floors = _floors(load, *_gammas(cfg)[:2])
     return ConvexPiece(floors, (("corner", (floors[0].c, floors[1].c)),))
 
 
@@ -253,6 +265,7 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
     a, b = _corners(g)
     cbar = ("Cbar", (t, t))
     floor1, floor2 = _floors(load, g[0], g[1])
+    frame_back, frame = _image_frame(g, load)  # the optimizer's: each image is its point exactly
     tau1, tau2 = load.tau1, load.tau2  # where their sum overflows, each sum half-plane is shifted
     back, (tau1, tau2) = _shifted((tau1, tau2), tau1, _INF, tau1 + tau2, 1.0)
     scale = 1.0 / back
@@ -264,7 +277,8 @@ def build_region(cfg: ChannelConfig, load: TrafficLoad) -> RegionDescription:
         (1, _PIECE_CORNERS[case][0], a, _ORDER[0], "bar'"),
         (2, _PIECE_CORNERS[case][1], b, _ORDER[1], "bar"),
     ):
-        images = [(x + suffix, _corner_image(g, load, branch, x)) for x in held]
+        images = [(x + suffix, (d1 * frame_back, d2 * frame_back))
+                  for x in held for d1, d2 in [_corner_image(g, frame, branch, x)]]
         sum_rate = (HalfPlane(scale * normal[0], scale * normal[1], tau1 + tau2),) if held else ()
         pieces.append(ConvexPiece(
             (floor1, floor2, *sum_rate, order),

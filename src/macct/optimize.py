@@ -27,7 +27,7 @@ from collections.abc import Callable
 from .capacity import Gammas, _corner_gammas, _gammas
 from .capacity import gamma  # noqa: F401 (bench/test_bench.py traces it)
 from .constrained import _require_member
-from .ctregion import _PIECE_CORNERS, Case, _corner_image, _equal_time, _late_time
+from .ctregion import _PIECE_CORNERS, Case, _corner_image, _equal_time, _image_frame, _late_time
 from .types import (
     EPS_MEM,
     _INF,
@@ -78,7 +78,8 @@ class Thresholds(_Value):
 
     w1 = gamma(P1/(1+P2))/gamma(P1+P2) serves the rows whose cells lie on branch 1, w2 =
     gamma(P1)/gamma(P1+P2) those on branch 2, and w3 = tau1/(tau1 + tau2) the full-region row
-    whose corners lie on different branches (Case II).  w1 < w2 always.
+    whose corners lie on different branches (Case II).  w1 <= w2: exactly w1 < w2, but the two
+    tie where s1 = gamma(P1/(1+P2)) rounds to g1, as at P = (3, 1e-17).
     """
 
     w1: float
@@ -113,7 +114,7 @@ _set_weight, _set_value, _set_point, _set_label, _set_branch, _set_tie = (
 
 
 def thresholds(cfg: ChannelConfig, load: TrafficLoad) -> Thresholds:
-    """The three switching weights; always w1 < w2 by strict subadditivity."""
+    """The three switching weights; w1 <= w2, equal only where s1 rounds to g1 (`Thresholds`)."""
     g = _gammas(cfg)
     return Thresholds(*(_threshold(g, load, name) for name in ("w1", "w2", "w3")))
 
@@ -177,20 +178,12 @@ def _cross_checked(
     """The row(case) solution for the load's case, from one `_corner_gammas` and one `_equal_time`.
 
     On a classification boundary the adjacent case's row holds as well, so
-    its solution must have the same value.  A cell's times add quotients of
-    the load by rates from s_i to g12, each at most (tau1 + tau2)/s_i: where
-    one would fall below the normal range the cells read the load `_shifted`
-    up, and the optimum is shifted back.  They never shift down: a time
-    beyond the float range is refused.
+    its solution must have the same value.  The cells read the load in
+    `ctregion._image_frame`, as `build_region`'s vertices do, and the optimum
+    is read times back.
     """
     g = _corner_gammas(cfg)
-    tau1, tau2, s = load.tau1, load.tau2, g[3] if g[3] < g[4] else g[4]
-    back, shifted = _shifted((tau1, tau2), tau1 if tau1 < tau2 else tau2, 1.0 / g[2],
-                             tau1 + tau2, 1.0 / s if s else _INF)
-    if back < 1.0:
-        load = TrafficLoad(*shifted)
-    else:
-        back = 1.0
+    back, load = _image_frame(g, load)
     t, case, adjacent, _ = _equal_time(g, load)
     solution = _solve(g, load, w, t, row(case), back)
     if adjacent is not None:

@@ -172,22 +172,32 @@ def test_loads_at_the_top_of_the_float_range_scale_exactly(k):
     # an exact power of two.  An optimal time beyond the float range is refused; one below the
     # normal range is skipped.  Pinned, at the top only: at tau = (1e308, 1e308) both of B's
     # ray-side products overflow, so branch 2 gave [A, C] for [A, B]; the second channel's w = 0
-    # schedule delivered 1.0635e308 of user 1's 1.0934e308 bits.
+    # schedule delivered 1.0635e308 of user 1's 1.0934e308 bits.  At the bottom (Case II): the
+    # region read Abar's d1 unshifted, 6.010702280233182e-308, and the optimizer, shifted,
+    # 6.010702280233183e-308 (the exact value is 6.01070228023318341e-308); one frame gives both.
     rng = np.random.default_rng(5)
     powers = np.exp(rng.uniform(math.log(1e-2), math.log(1e8), (300, 2)))
     loads = rng.uniform(1.0, 15.0, (300, 2))
     top = math.ldexp(1e308, -1020)
-    pinned = [(ChannelConfig(100.0, 1e10), TrafficLoad(top, top)),
-              (ChannelConfig(94746244.49510172, 90555830.22060043),
-               TrafficLoad(9.731284362789648, 6.799057419805062))]
-    instances = [*(pinned if k == 1020 else ()),
-                 *((ChannelConfig(*map(float, p)), TrafficLoad(*map(float, t)))
-                   for p, t in zip(powers, loads))]
-    lowest = _normal_after(k)[0]
+    pinned = {1020: [(ChannelConfig(100.0, 1e10), TrafficLoad(top, top)),
+                     (ChannelConfig(94746244.49510172, 90555830.22060043),
+                      TrafficLoad(9.731284362789648, 6.799057419805062))],
+              -1020: [(ChannelConfig(9098480.875047117, 1568528.0753011368),
+                       TrafficLoad(5.24159764693115, 2.5932676447834058))]}[k]
+    instances = [*pinned, *((ChannelConfig(*map(float, p)), TrafficLoad(*map(float, t)))
+                            for p, t in zip(powers, loads))]
+    lowest, highest = _normal_after(k)
     answered = 0
     for cfg, unit in instances:
         load = _top_of_range(unit, k)
         assert classify_case(cfg, load) is classify_case(cfg, unit), (cfg, unit)
+        # The labelled vertices, each the optimizer's point for its cell, scale exactly.
+        want = _labelled_vertices(cfg, unit)
+        if max(x for _, xy in want for x in xy) < highest:  # else a time is beyond the floats
+            got = _labelled_vertices(cfg, load)
+            assert [name for name, _ in got] == [name for name, _ in want], (cfg, unit)
+            assert all(x == math.ldexp(u, k) for (_, xy), (_, unit_xy) in zip(got, want)
+                       for x, u in zip(xy, unit_xy) if u >= lowest), (cfg, unit)
         assert point_c(cfg, load) == point_c(cfg, unit), (cfg, unit)
         assert thresholds(cfg, load) == thresholds(cfg, unit), (cfg, unit)
         for branch in (1, 2):
@@ -211,6 +221,13 @@ def test_loads_at_the_top_of_the_float_range_scale_exactly(k):
     assert answered > 400
     if k == 1020:
         assert [x for x, _ in dominant_extreme_points(*pinned[0], 2)] == ["A", "B"]
+    else:
+        assert classify_case(*pinned[0]) is Case.II
+
+
+def _labelled_vertices(cfg, load):
+    desc = build_region(cfg, load)
+    return desc.piece_d1.vertices + desc.piece_d2.vertices
 
 
 def test_membership_at_the_top_of_the_float_range_reads_the_unscaled_pair():

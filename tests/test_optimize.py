@@ -10,11 +10,13 @@ from macct import (
     ChannelConfig,
     CompletionTimePair,
     ConsistencyError,
+    ConstrainedRateQuery,
     InfeasibleError,
     Phase,
     RatePair,
     TrafficLoad,
     build_region,
+    clamp_transform,
     classify_case,
     corner_points,
     ct_contains,
@@ -454,14 +456,12 @@ class TestOneDerivationPerCall:
 
     @pytest.fixture
     def gamma_calls(self, monkeypatch):
+        """`capacity._gammas` is the one caller of `gamma`, so only its binding is patched."""
         import macct.capacity as capacity
-        import macct.ctregion as ctregion
-        import macct.optimize as optimize
 
         calls = []
         real = capacity.gamma
-        for module in (capacity, ctregion, optimize):
-            monkeypatch.setattr(module, "gamma", lambda x: calls.append(x) or real(x))
+        monkeypatch.setattr(capacity, "gamma", lambda x: calls.append(x) or real(x))
         return calls
 
     @pytest.mark.parametrize(
@@ -470,8 +470,17 @@ class TestOneDerivationPerCall:
             partial(build_region, CFG33, LOAD_II),
             partial(minimax, CFG33, LOAD_II),
             partial(minimize_weighted_sum, CFG33, LOAD_II, 0.2),
+            partial(outer_bound, CFG33, LOAD_II),
+            partial(clamp_transform, CFG33, ConstrainedRateQuery(RatePair(0.5, 0.5), 0.5)),
+            partial(clamp_transform, CFG33, ConstrainedRateQuery(RatePair(0.5, 0.5), 2.0)),
+            partial(point_c, CFG33, LOAD_II),
+            partial(thresholds, CFG33, LOAD_II),
+            partial(ct_contains, CFG33, LOAD_II, CompletionTimePair(1.6, 1.6)),
+            partial(equal_time_vertex, CFG33, LOAD_II),
         ],
-        ids=["build_region", "minimax", "minimize_weighted_sum"],
+        ids=["build_region", "minimax", "minimize_weighted_sum", "outer_bound",
+             "clamp_transform_c_below_1", "clamp_transform_c_above_1", "point_c", "thresholds",
+             "ct_contains", "equal_time_vertex"],
     )
     def test_one_gamma_triple_per_call(self, gamma_calls, call):
         call()
